@@ -3,14 +3,16 @@
 Every subset of the possible edges is a state.  A state's probability is
 the product of independent per-link factors, and the connectivity it
 induces is a plain reachability question on a deterministic graph.  The
-path-probability matrix is the state-probability-weighted average of the
+path-probability matrix is the state-probability-weighted sum of the
 per-state connectivity indicators.
 
-States are visited in ascending bitmask order over the canonical edge
-indexing and every matrix entry is accumulated with compensated (Kahan)
-summation, so a given build produces bit-identical output run after run.
-Enumeration runs independently inside each support component; entries
-across components are exactly zero by construction.
+States of nonzero probability are expanded from their bitmasks over the
+canonical edge indexing in ascending order, a chunk at a time, and handed
+to the batched edge-state kernel shared with the sampling engine
+(:func:`probconn.graph._state_pair_sums`), which sums the weights per pair
+in a fixed order, so a given build produces bit-identical output run after
+run.  Enumeration runs independently inside each support component;
+entries across components are exactly zero by construction.
 
 This is deliberately the brute-force definition: it serves as the trusted
 reference the sampling engine and all analyses are checked against.  Cost
@@ -24,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import ProbGraph, _union_find_labels, support_components
+from .graph import ProbGraph, _pair_matrix, _state_pair_sums, support_components
 
 __all__ = [
     "DEFAULT_MAX_EDGES",
@@ -35,8 +37,11 @@ __all__ = [
 ]
 
 # 2^22 states per component is the practical ceiling for exhaustive
-# enumeration (tens of seconds); past it the Monte Carlo engine takes over.
+# enumeration (seconds, ~120 MB); past it the Monte Carlo engine takes over.
 DEFAULT_MAX_EDGES = 22
+
+# States expanded from bitmasks into one bool matrix at a time.
+_MASKS_PER_CHUNK = 1 << 14
 
 
 class EdgeLimitExceeded(RuntimeError):
@@ -63,10 +68,9 @@ def conditional_connectivity(g: ProbGraph, state: Sequence[int]) -> np.ndarray:
     Entry (i, j) is 1 exactly when i and j fall in the same connected
     component once only the edges flagged 1 are kept.  Diagonal is 1.
     """
-    bits = _check_state(g, state)
-    active = [(i, j) for (i, j, _), b in zip(g.edges, bits) if b]
-    labels = np.array(_union_find_labels(g.n, active))
-    return (labels[:, None] == labels[None, :]).astype(float)
+    active = np.array([_check_state(g, state)], dtype=bool)
+    ends = np.array([(i, j) for i, j, _ in g.edges], dtype=int).reshape(g.m, 2)
+    return _pair_matrix(g.n, _state_pair_sums(g.n, ends[:, 0], ends[:, 1], active, np.ones(1)))
 
 
 def state_probability(g: ProbGraph, state: Sequence[int]) -> float:
@@ -89,69 +93,17 @@ def _state_weights(probs: Sequence[float]) -> np.ndarray:
 def _enumerate_block(nverts: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
     """Exact connectivity matrix of one component by full state enumeration."""
     m = len(edges)
-    eu = [e[0] for e in edges]
-    ev = [e[1] for e in edges]
-    weights = _state_weights([e[2] for e in edges]).tolist()
-
-    pu: list[int] = []
-    pv: list[int] = []
-    for u in range(nverts):
-        for v in range(u + 1, nverts):
-            pu.append(u)
-            pv.append(v)
-    npairs = len(pu)
-    sums = [0.0] * npairs
-    comps = [0.0] * npairs
-
-    base = list(range(nverts))
-    for mask in range(1 << m):
-        w = weights[mask]
-        if w == 0.0:
-            continue  # zero-weight states cannot move any entry
-        parent = base.copy()
-        mm = mask
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            k = low.bit_length() - 1
-            x = eu[k]
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            y = ev[k]
-            while parent[y] != y:
-                parent[y] = parent[parent[y]]
-                y = parent[y]
-            if x != y:
-                if x < y:
-                    parent[y] = x
-                else:
-                    parent[x] = y
-        roots = [0] * nverts
-        for i in range(nverts):
-            r = i
-            while parent[r] != r:
-                parent[r] = parent[parent[r]]
-                r = parent[r]
-            roots[i] = r
-        for idx in range(npairs):
-            if roots[pu[idx]] == roots[pv[idx]]:
-                s = sums[idx]
-                y = w - comps[idx]
-                t = s + y
-                comps[idx] = (t - s) - y
-                sums[idx] = t
-
-    block = np.eye(nverts)
-    for idx in range(npairs):
-        val = sums[idx]
-        if val > 1.0:
-            val = 1.0  # compensated sums can overshoot by one ulp
-        elif val < 0.0:
-            val = 0.0
-        block[pu[idx], pv[idx]] = val
-        block[pv[idx], pu[idx]] = val
-    return block
+    eu, ev, probs = (np.array(column) for column in zip(*edges))
+    weights = _state_weights(probs)
+    masks = np.flatnonzero(weights)  # zero-weight states cannot move any entry
+    sums = np.zeros(nverts * (nverts - 1) // 2)
+    for lo in range(0, len(masks), _MASKS_PER_CHUNK):
+        chunk = masks[lo : lo + _MASKS_PER_CHUNK]
+        # the little-endian bytes of a mask, unpacked low bit first: bit k is edge k
+        octets = chunk.astype("<u8").view(np.uint8).reshape(-1, 8)
+        active = np.unpackbits(octets, axis=1, count=m, bitorder="little").view(bool)
+        sums += _state_pair_sums(nverts, eu, ev, active, weights[chunk])
+    return _pair_matrix(nverts, np.minimum(sums, 1.0))  # sums can overshoot 1 by an ulp
 
 
 def exact_connectivity(g: ProbGraph, max_edges: int = DEFAULT_MAX_EDGES) -> np.ndarray:

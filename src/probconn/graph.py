@@ -139,6 +139,55 @@ def _union_find_labels(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     return [find(v) for v in range(n)]
 
 
+# Working memory per slice of states in _state_pair_sums: about 12 bytes per
+# vertex pair and state, so 1 MiB holds ~1.8k states at n = 10 (45 pairs).
+_SLICE_BYTES = 1 << 20
+
+
+def _state_pair_sums(
+    n: int, eu: np.ndarray, ev: np.ndarray, active: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Summed weight of the edge states in which each vertex pair is connected.
+
+    Row s of the (states, m) bool matrix `active` switches edges
+    (eu[k], ev[k]) on or off, and state s carries `weights[s]`: a probability
+    for exhaustive enumeration, a sample multiplicity for Monte Carlo.
+    Returns one sum per pair in np.triu_indices(n, 1) order, in the dtype of
+    `weights`; integer weights give exact integer sums.
+
+    Every state labels each vertex with the smallest vertex of its component
+    in one pass over the edges: an active edge replaces the larger of its
+    endpoints' labels by the smaller one wherever it occurs, which keeps the
+    labels exact after each edge.  States are processed in slices of about
+    _SLICE_BYTES, so memory stays O(slice * n^2) whatever the batch size.
+    """
+    start = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
+    pair_i, pair_j = np.nonzero(start < start.T)  # np.triu_indices(n, 1), cheaper
+    sums = np.zeros(len(pair_i), dtype=weights.dtype)
+    step = max(1, _SLICE_BYTES // (12 * len(pair_i) + n + active.shape[1]))
+    for lo in range(0, len(weights), step):
+        on = np.ascontiguousarray(active[lo : lo + step].T)
+        w = weights[lo : lo + step]
+        lab = np.repeat(start, len(w), axis=1)  # (n, slice): vertex-major rows
+        for u, v, on_k in zip(eu, ev, on):
+            lu, lv = lab[u], lab[v]
+            hi = np.maximum(lu, lv)
+            # an inactive edge "merges" hi into itself, which changes nothing
+            np.copyto(lab, np.where(on_k, np.minimum(lu, lv), hi), where=lab == hi)
+        # contiguous rows: numpy's pairwise summation, the same on every run
+        sums += np.where(lab[pair_i] == lab[pair_j], w, 0).sum(axis=1)
+    return sums
+
+
+def _pair_matrix(n: int, values: np.ndarray) -> np.ndarray:
+    """Symmetric matrix with unit diagonal from np.triu_indices(n, 1) values."""
+    out = np.eye(n)
+    upper = np.triu_indices(n, k=1)
+    out[upper] = values
+    out.T[upper] = values
+    return out
+
+
 def support_components(g: ProbGraph) -> list[list[int]]:
     """Vertex blocks mutually reachable through positive-probability edges.
 

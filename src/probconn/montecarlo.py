@@ -2,10 +2,14 @@
 
 Edge draws come from a counter-based generator: the uniform variate for
 edge k of sample t is a pure function of (seed, t, k), using the
-SplitMix64 finalizer over the stream position t*m + k.  Connectivity
-indicators are accumulated as integer counts, so the estimate is
-independent of chunking or worker layout and repeated runs with the same
-(graph, samples, seed) are bit-identical.
+SplitMix64 finalizer over the stream position t*m + k.  Each chunk of
+samples is reduced to its distinct edge states and their multiplicities
+(sorting the states packed into 64-bit words), which go through the
+batched edge-state kernel shared with the exact engine
+(:func:`probconn.graph._state_pair_sums`).  Connectivity indicators are
+accumulated as integer counts, so the estimate is independent of chunking
+or worker layout and repeated runs with the same (graph, samples, seed)
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -17,13 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import ProbGraph, _union_find_labels
+from .graph import ProbGraph, _pair_matrix, _state_pair_sums
 
 __all__ = ["HalfWidths", "McEstimate", "ci_halfwidth", "mc_connectivity"]
-
-# Above this many edges the per-state lookup table would not fit; fall back
-# to transitive closure on batched adjacency matrices.
-_LOOKUP_MAX_EDGES = 20
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _CONFIDENCE_LEVELS = (0.90, 0.95, 0.99)
@@ -69,65 +69,20 @@ def _edge_uniforms(seed0: np.uint64, lo: int, hi: int, m: int) -> np.ndarray:
     return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def _pair_table(g: ProbGraph, pair_i: np.ndarray, pair_j: np.ndarray) -> np.ndarray:
-    """Connectivity indicator of every vertex pair for every edge subset."""
-    m = g.m
-    table = np.empty((1 << m, len(pair_i)), dtype=np.int8)
-    endpoints = [(i, j) for i, j, _ in g.edges]
-    for mask in range(1 << m):
-        active = [endpoints[k] for k in range(m) if mask >> k & 1]
-        labels = np.array(_union_find_labels(g.n, active))
-        table[mask] = labels[pair_i] == labels[pair_j]
-    return table
-
-
-def _counts_by_table(
-    g: ProbGraph,
-    probs: np.ndarray,
-    samples: int,
-    seed0: np.uint64,
-    chunk_size: int,
-    pair_i: np.ndarray,
-    pair_j: np.ndarray,
-) -> np.ndarray:
-    m = g.m
-    state_counts = np.zeros(1 << m, dtype=np.int64)
-    pows = np.int64(1) << np.arange(m, dtype=np.int64)
-    for lo in range(0, samples, chunk_size):
-        hi = min(lo + chunk_size, samples)
-        active = _edge_uniforms(seed0, lo, hi, m) < probs[None, :]
-        masks = active @ pows
-        state_counts += np.bincount(masks, minlength=1 << m)
-    return state_counts @ _pair_table(g, pair_i, pair_j)
-
-
-def _counts_by_closure(
-    g: ProbGraph,
-    probs: np.ndarray,
-    samples: int,
-    seed0: np.uint64,
-    chunk_size: int,
-    pair_i: np.ndarray,
-    pair_j: np.ndarray,
-) -> np.ndarray:
-    n, m = g.n, g.m
-    eu = np.array([e[0] for e in g.edges])
-    ev = np.array([e[1] for e in g.edges])
-    rounds = max(1, int(math.ceil(math.log2(max(n - 1, 2))))) + 1
-    counts = np.zeros(len(pair_i), dtype=np.int64)
-    diag = np.arange(n)
-    for lo in range(0, samples, chunk_size):
-        hi = min(lo + chunk_size, samples)
-        active = _edge_uniforms(seed0, lo, hi, m) < probs[None, :]
-        reach = np.zeros((hi - lo, n, n), dtype=np.int16)
-        reach[:, diag, diag] = 1
-        reach[:, eu, ev] = active
-        reach[:, ev, eu] = active
-        for _ in range(rounds):
-            reach = np.matmul(reach, reach)
-            np.minimum(reach, 1, out=reach)
-        counts += reach[:, pair_i, pair_j].astype(np.int64).sum(axis=0)
-    return counts
+def _distinct_states(
+    seed0: np.uint64, lo: int, hi: int, probs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct edge states of samples lo..hi-1 and how often each occurs."""
+    m = len(probs)
+    words = -(-m // 64)
+    bits = np.zeros((hi - lo, 64 * words), dtype=bool)
+    np.less(_edge_uniforms(seed0, lo, hi, m), probs, out=bits[:, :m])
+    packed = np.packbits(bits).view(np.uint64)
+    # one 64-bit word sorts as an integer; wider states as opaque byte strings
+    keys = packed if words == 1 else packed.view(np.dtype((np.void, 8 * words)))
+    distinct, counts = np.unique(keys, return_counts=True)
+    states = np.unpackbits(distinct.view(np.uint8).reshape(-1, 8 * words), axis=1, count=m)
+    return states.view(bool), counts
 
 
 def mc_connectivity(
@@ -152,20 +107,13 @@ def mc_connectivity(
     if m == 0:
         return McEstimate(np.eye(n), samples, np.zeros((n, n)), seed)
     chunk_size = max(1, int(chunk_size))
-    probs = np.array([e[2] for e in g.edges])
-    pair_i, pair_j = np.triu_indices(n, k=1)
+    eu, ev, probs = (np.array(column) for column in zip(*g.edges))
     seed0 = _scramble_seed(seed)
-    if m <= _LOOKUP_MAX_EDGES:
-        pair_counts = _counts_by_table(
-            g, probs, samples, seed0, chunk_size, pair_i, pair_j
-        )
-    else:
-        pair_counts = _counts_by_closure(
-            g, probs, samples, seed0, chunk_size, pair_i, pair_j
-        )
-    q_hat = np.eye(n)
-    q_hat[pair_i, pair_j] = pair_counts / samples
-    q_hat[pair_j, pair_i] = q_hat[pair_i, pair_j]
+    pair_counts = np.zeros(n * (n - 1) // 2, dtype=np.int64)
+    for lo in range(0, samples, chunk_size):
+        states, counts = _distinct_states(seed0, lo, min(lo + chunk_size, samples), probs)
+        pair_counts += _state_pair_sums(n, eu, ev, states, counts)
+    q_hat = _pair_matrix(n, pair_counts / samples)
     std_err = np.sqrt(q_hat * (1.0 - q_hat) / samples)
     np.fill_diagonal(std_err, 0.0)
     return McEstimate(q_hat=q_hat, samples=samples, std_err=std_err, seed=seed)

@@ -1,8 +1,9 @@
 """Independent reference computations for the tests.
 
 These deliberately avoid the package's code paths: reachability is done by
-breadth-first search instead of union-find, accumulation uses math.fsum
-instead of compensated running sums, and eigenvalues come from LAPACK.
+breadth-first search instead of union-find or batched label relabelling,
+accumulation uses math.fsum instead of numpy sums, and eigenvalues come
+from LAPACK.
 """
 
 from __future__ import annotations
@@ -81,3 +82,13 @@ def two_walk_probability(n, edges, i, j) -> float:
 def eigvals_descending(matrix) -> np.ndarray:
     """Eigenvalues of a symmetric matrix via LAPACK, sorted descending."""
     return np.linalg.eigvalsh(matrix)[::-1]
+
+
+def pair_indicators(n, active_edges) -> list[int]:
+    """1 per vertex pair (i < j, row-major) joined by the given edges, by BFS."""
+    adj = [[] for _ in range(n)]
+    for i, j in active_edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    labels = _bfs_labels(n, adj)
+    return [int(labels[i] == labels[j]) for i in range(n) for j in range(i + 1, n)]

@@ -12,6 +12,8 @@ from probconn import (
     with_edge_probability,
 )
 from graphgen import random_graph
+from oracles import pair_indicators
+from probconn import graph as graph_module
 
 
 class TestBuildGraph:
@@ -132,6 +134,29 @@ class TestSupportComponents:
                         assert q[i, j] > 0.0
                     else:
                         assert q[i, j] == 0.0
+
+
+class TestStatePairSums:
+    @pytest.mark.parametrize("slice_bytes", [1, graph_module._SLICE_BYTES])
+    def test_matches_bfs_on_random_state_batches(self, monkeypatch, slice_bytes):
+        # slice_bytes=1 processes one state per slice
+        monkeypatch.setattr(graph_module, "_SLICE_BYTES", slice_bytes)
+        rng = np.random.default_rng(81)
+        for _ in range(25):
+            # vertices without edges stay isolated in every state
+            g = random_graph(rng, n_lo=1, n_hi=8, m_hi=10)
+            ends = np.array([(i, j) for i, j, _ in g.edges], dtype=int).reshape(g.m, 2)
+            drawn = rng.random((int(rng.integers(1, 30)), g.m)) < rng.random()
+            states = np.vstack([drawn, np.zeros(g.m, bool), np.ones(g.m, bool)])
+            indicators = np.array(
+                [pair_indicators(g.n, ends[row]) for row in states], dtype=np.int64
+            ).reshape(len(states), -1)
+            for weights in (np.ones(len(states)), rng.integers(1, 9, len(states))):
+                sums = graph_module._state_pair_sums(
+                    g.n, ends[:, 0], ends[:, 1], states, weights
+                )
+                assert sums.dtype == weights.dtype
+                np.testing.assert_array_equal(sums, weights @ indicators)
 
 
 class TestArticulationPoints:

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from probconn import build_graph, ci_halfwidth, exact_connectivity, mc_connectiv
 from graphgen import random_graph
 
 TRIANGLE = build_graph(3, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)])
+PINNED = json.loads((Path(__file__).parent / "mc_counts_fixture.json").read_text())
 
 
 class TestMcConnectivity:
@@ -73,26 +77,19 @@ class TestMcConnectivity:
             # 10 sigma at N = 2e5
             assert np.max(np.abs(est.q_hat - q)) <= 0.012
 
-    def test_closure_fallback_matches_table_path(self, monkeypatch):
-        # the two counting paths must agree sample for sample
-        import probconn.montecarlo as mcmod
-
-        rng = np.random.default_rng(66)
-        g = random_graph(rng, n_lo=4, n_hi=6, m_hi=10, p_lo=0.1, p_hi=0.9)
-        by_table = mc_connectivity(g, samples=30_000, seed=6)
-        monkeypatch.setattr(mcmod, "_LOOKUP_MAX_EDGES", 0)
-        by_closure = mc_connectivity(g, samples=30_000, seed=6)
-        assert np.array_equal(by_table.q_hat, by_closure.q_hat)
-
-    def test_wide_graphs_use_the_closure_path(self):
-        # > 20 edges: lookup tables no longer apply
-        n = 8
-        edges = [(i, j, 0.3) for i in range(n) for j in range(i + 1, n)][:22]
-        g = build_graph(n, edges)
-        est = mc_connectivity(g, samples=5_000, seed=6)
-        repeat = mc_connectivity(g, samples=5_000, seed=6, chunk_size=333)
-        assert np.array_equal(est.q_hat, repeat.q_hat)
-        assert np.all(est.q_hat >= 0.0) and np.all(est.q_hat <= 1.0)
+    @pytest.mark.parametrize("case", PINNED["cases"], ids=lambda c: c["name"])
+    def test_matches_pinned_counts_of_earlier_paths(self, case):
+        # bit-for-bit against the counts of the former table (m <= 20) and
+        # closure (m > 20) paths; the draws are unchanged, the counts integers
+        g = build_graph(case["n"], case["edges"])
+        samples = case["samples"]
+        upper = np.triu_indices(g.n, k=1)
+        expected = np.eye(g.n)
+        expected[upper] = np.array(case["counts"]) / samples
+        expected.T[upper] = expected[upper]
+        for chunk in (1, 7, 333, 1 << 16):
+            est = mc_connectivity(g, samples, case["seed"], chunk_size=chunk)
+            assert np.array_equal(est.q_hat, expected), chunk
 
 
 class TestCiHalfwidth:

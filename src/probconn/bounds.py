@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .graph import _union_find_labels
+from .graph import _blocks
 from .spectral import _square_symmetric
 
 __all__ = [
@@ -114,8 +114,8 @@ def compute_bounds(a, q, tolerance: float = 1e-12) -> BoundsReport:
     )
 
 
-def _split_around(q: np.ndarray, k: int, tolerance: float) -> dict[int, int]:
-    """Component labels of the vertices other than k once k is removed.
+def _split_around(q: np.ndarray, k: int, tolerance: float) -> list[list[int]]:
+    """Vertex blocks left once k is removed; k itself is a block of its own.
 
     Two vertices stay together exactly when some usable route between them
     bypasses k, i.e. q_lm strictly exceeds the through-k product.
@@ -128,8 +128,7 @@ def _split_around(q: np.ndarray, k: int, tolerance: float) -> dict[int, int]:
         for m in others[ai + 1 :]
         if q[l, m] > 0.0 and q[l, m] - q[l, k] * q[k, m] > tolerance
     ]
-    labels = _union_find_labels(n, pairs)
-    return {v: labels[v] for v in others}
+    return _blocks(n, pairs)
 
 
 def find_critical_vertices(
@@ -164,13 +163,12 @@ def find_critical_vertices(
         ]
         if not witnesses:
             continue
-        label_of = _split_around(q, k, tolerance)
         i0, j0 = witnesses[0]
+        v1 = next(b for b in _split_around(q, k, tolerance) if i0 in b)
         partition_hint = None
         warnings: list[tuple[int, int, float]] = []
-        if label_of[i0] != label_of[j0]:
-            v1 = sorted(v for v, lab in label_of.items() if lab == label_of[i0])
-            v3 = sorted(v for v in label_of if v not in v1)
+        if j0 not in v1:
+            v3 = [v for v in range(n) if v != k and v not in v1]
             partition_hint = (v1, v3)
             for l in v1:
                 for m in v3:

@@ -119,8 +119,12 @@ def adjacency_matrix(g: ProbGraph) -> np.ndarray:
     return a
 
 
-def _union_find_labels(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """Connected-component labels (smallest member wins) via union-find."""
+def _blocks(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Vertex blocks joined by `pairs`, each ascending, ordered by smallest vertex.
+
+    Union-find in which the smaller root wins, so every root is the smallest
+    vertex of its block and blocks first appear in smallest-vertex order.
+    """
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -136,7 +140,10 @@ def _union_find_labels(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
                 parent[rv] = ru
             else:
                 parent[ru] = rv
-    return [find(v) for v in range(n)]
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        groups.setdefault(find(v), []).append(v)
+    return list(groups.values())
 
 
 # Working memory per slice of states in _state_pair_sums: about 12 bytes per
@@ -194,11 +201,7 @@ def support_components(g: ProbGraph) -> list[list[int]]:
     Zero-probability edges never connect anything.  Blocks are sorted
     ascending internally and ordered by their smallest vertex.
     """
-    labels = _union_find_labels(g.n, ((i, j) for i, j, p in g.edges if p > 0.0))
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(labels[v], []).append(v)
-    return [sorted(groups[root]) for root in sorted(groups)]
+    return _blocks(g.n, ((i, j) for i, j, p in g.edges if p > 0.0))
 
 
 def articulation_points(g: ProbGraph) -> list[int]:

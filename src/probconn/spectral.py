@@ -7,16 +7,19 @@ This module provides the eigensolver, quality reports per network and per
 component, entrywise-dominance comparison of two networks, and the
 certificate for the all-or-nothing block structure that appears when every
 link probability is 0 or 1.
+
+Eigenvalues come from LAPACK (np.linalg.eigh), called once per block of the
+matrix's nonzero pattern.  Every entry point rejects non-square,
+asymmetric or non-finite input with ValueError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _union_find_labels
+from .graph import _blocks
 
 __all__ = [
     "CornerCertificate",
@@ -30,8 +33,6 @@ __all__ = [
 ]
 
 _SYMMETRY_TOL = 1e-12
-_OFFDIAG_TARGET = 1e-12
-_MAX_SWEEPS = 100
 
 
 class CornerStructureError(RuntimeError):
@@ -72,66 +73,42 @@ def _square_symmetric(matrix) -> np.ndarray:
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix with n >= 1, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has NaN or infinite entries")
     if np.max(np.abs(a - a.T)) > _SYMMETRY_TOL:
         raise ValueError("matrix is not symmetric within 1e-12")
     return 0.5 * (a + a.T)
 
 
+def _pattern_blocks(linked: np.ndarray) -> list[list[int]]:
+    """Vertex blocks chained together by the True off-diagonal entries."""
+    i, j = np.nonzero(np.triu(linked, 1))
+    return _blocks(linked.shape[0], zip(i.tolist(), j.tolist()))
+
+
 def sym_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a dense symmetric matrix by cyclic Jacobi.
+    """Eigendecomposition of a dense symmetric matrix, one LAPACK call per block.
 
-    Sweeps Givens rotations over all index pairs until the off-diagonal
-    Frobenius norm drops below 1e-12 times the input norm.  Returns
-    (eigenvalues sorted descending, eigenvectors as matching columns).
-    Rotations with an exactly zero pivot are skipped, so block-diagonal
-    inputs keep exact zeros in their eigenvectors.
+    The vertices are grouped into blocks by the nonzero off-diagonal
+    pattern and each block is decomposed by np.linalg.eigh.  Returns
+    (eigenvalues sorted descending, eigenvectors as matching unit columns);
+    ties keep block order.  Each column is zero outside its block, so
+    block-diagonal inputs keep exact zeros in their eigenvectors, also under
+    a vertex permutation and when eigenvalues tie across blocks.
 
-    Raises ValueError for asymmetric input and RuntimeError if the sweep
-    limit is reached without convergence.
+    Raises ValueError for asymmetric or non-finite input, and LAPACK's
+    np.linalg.LinAlgError if a block does not converge.
     """
     a = _square_symmetric(matrix)
     n = a.shape[0]
-    v = np.eye(n)
-    target = _OFFDIAG_TARGET * float(np.linalg.norm(a))
-    sweeps = 0
-    while True:
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off <= target:
-            break
-        if sweeps >= _MAX_SWEEPS:
-            raise RuntimeError(
-                f"Jacobi sweeps did not converge: off-diagonal norm {off:.3e} "
-                f"after {sweeps} sweeps (target {target:.3e})"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                theta = 0.5 * (aqq - app) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                new_p = c * col_p - s * col_q
-                new_q = s * col_p + c * col_q
-                a[:, p] = new_p
-                a[p, :] = new_p
-                a[:, q] = new_q
-                a[q, :] = new_q
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        sweeps += 1
-    w = np.diag(a).copy()
+    w = np.empty(n)
+    v = np.zeros((n, n))
+    col = 0
+    for block in _pattern_blocks(a != 0.0):
+        idx = np.array(block)
+        end = col + len(block)
+        w[col:end], v[idx, col:end] = np.linalg.eigh(a[np.ix_(idx, idx)])
+        col = end
     order = np.argsort(-w, kind="stable")
     return w[order], v[:, order]
 
@@ -189,16 +166,6 @@ def spectral_report(
     )
 
 
-def _pattern_connected(q: np.ndarray) -> bool:
-    """True when the positive off-diagonal pattern spans all vertices."""
-    n = q.shape[0]
-    pairs = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if q[i, j] > 0.0
-    ]
-    labels = _union_find_labels(n, pairs)
-    return len(set(labels)) == 1
-
-
 def compare_quality(q_a, q_b) -> QualityComparison:
     """Order two networks by entrywise dominance of their connectivity matrices.
 
@@ -230,7 +197,7 @@ def compare_quality(q_a, q_b) -> QualityComparison:
     not_connected = [
         name
         for name, mat in (("a", a), ("b", b))
-        if not _pattern_connected(mat)
+        if len(_pattern_blocks(mat > 0.0)) != 1
     ]
     if not_connected:
         return QualityComparison(
@@ -272,12 +239,7 @@ def verify_corner_structure(q, eig_tolerance: float = 1e-9) -> CornerCertificate
     if np.any(np.diag(rounded) != 1.0):
         raise ValueError("diagonal entries must all be 1")
     ones = rounded == 1.0
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if ones[i, j]]
-    labels = _union_find_labels(n, pairs)
-    groups: dict[int, list[int]] = {}
-    for vtx in range(n):
-        groups.setdefault(labels[vtx], []).append(vtx)
-    blocks = [sorted(groups[root]) for root in sorted(groups)]
+    blocks = _pattern_blocks(ones)
     for block in blocks:
         idx = np.array(block)
         if not np.all(ones[np.ix_(idx, idx)]):

@@ -3,7 +3,7 @@
 These deliberately avoid the package's code paths: reachability is done by
 breadth-first search instead of union-find or batched label relabelling,
 accumulation uses math.fsum instead of numpy sums, and eigenvalues come
-from LAPACK.
+from cyclic Jacobi rotations instead of LAPACK.
 """
 
 from __future__ import annotations
@@ -80,8 +80,24 @@ def two_walk_probability(n, edges, i, j) -> float:
 
 
 def eigvals_descending(matrix) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix via LAPACK, sorted descending."""
-    return np.linalg.eigvalsh(matrix)[::-1]
+    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, descending."""
+    a = np.array(matrix, dtype=float)
+    n = a.shape[0]
+    for _ in range(60):
+        off = a - np.diag(np.diag(a))
+        if math.sqrt(math.fsum((off * off).ravel())) <= 1e-15 * np.linalg.norm(a):
+            return np.sort(np.diag(a))[::-1]
+        for p, q in itertools.combinations(range(n), 2):
+            if a[p, q] == 0.0:
+                continue
+            theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
+            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+            c = 1.0 / math.hypot(t, 1.0)
+            s = t * c
+            for view in (a.T, a):  # columns, then rows: a <- J^T a J
+                vp, vq = view[p].copy(), view[q].copy()
+                view[p], view[q] = c * vp - s * vq, s * vp + c * vq
+    raise AssertionError("Jacobi sweeps did not converge")
 
 
 def pair_indicators(n, active_edges) -> list[int]:

@@ -77,6 +77,13 @@ class TestComputeBounds:
         with pytest.raises(ValueError, match="mismatch"):
             compute_bounds(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("rejected", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, rejected):
+        q = exact_connectivity(TRIANGLE)
+        q[0, 1] = q[1, 0] = rejected
+        with pytest.raises(ValueError, match="infinite"):
+            compute_bounds(adjacency_matrix(TRIANGLE), q)
+
 
 class TestFindCriticalVertices:
     def test_path_center_is_critical(self):

@@ -37,7 +37,7 @@ class TestSymEig:
         np.testing.assert_array_equal(w, [5.0])
         np.testing.assert_array_equal(v, [[1.0]])
 
-    def test_matches_lapack_on_random_symmetric_matrices(self):
+    def test_matches_jacobi_oracle_on_random_symmetric_matrices(self):
         rng = np.random.default_rng(101)
         for _ in range(20):
             n = int(rng.integers(2, 9))
@@ -52,14 +52,35 @@ class TestSymEig:
         with pytest.raises(ValueError, match="symmetric"):
             sym_eig([[1.0, 0.2], [0.3, 1.0]])
 
+    @pytest.mark.parametrize("rejected", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, rejected):
+        m = np.eye(3)
+        m[0, 2] = m[2, 0] = rejected
+        with pytest.raises(ValueError, match="infinite"):
+            sym_eig(m)
+
     def test_block_diagonal_keeps_exact_zeros_in_vectors(self):
         q = np.eye(4)
         q[0, 1] = q[1, 0] = 0.8
         q[2, 3] = q[3, 2] = 0.3
-        w, v = sym_eig(q)
-        for col in range(4):
-            support = np.flatnonzero(v[:, col])
-            assert set(support) <= {0, 1} or set(support) <= {2, 3}
+        contiguous = (q, [{0, 1}, {2, 3}])
+        # three random 5x5 blocks, two of them identical so that eigenvalues
+        # tie across blocks, under a fixed shuffle of the vertex labels
+        rng = np.random.default_rng(29)
+        raw = [rng.uniform(0.1, 1.0, size=(5, 5)) for _ in range(2)]
+        blocks = [0.5 * (b + b.T) for b in raw + raw[:1]]
+        dense = np.zeros((15, 15))
+        for b, block in enumerate(blocks):
+            dense[5 * b : 5 * b + 5, 5 * b : 5 * b + 5] = block
+        perm = rng.permutation(15)
+        shuffled = dense[np.ix_(perm, perm)]
+        shuffled_groups = [set(np.flatnonzero(perm // 5 == b)) for b in range(3)]
+        for m, groups in (contiguous, (shuffled, shuffled_groups)):
+            w, v = sym_eig(m)
+            np.testing.assert_allclose(v @ np.diag(w) @ v.T, m, atol=1e-12)
+            for col in range(m.shape[0]):
+                support = set(np.flatnonzero(v[:, col]))
+                assert any(support <= group for group in groups)
 
 
 class TestSpectralReport:

@@ -10,6 +10,10 @@ the network.
 When the lower bound is *tight* for some relay k (q_ij == q_ik * q_kj),
 every usable route between i and j runs through k: k is a critical vertex
 whose loss disconnects the pair.
+
+Both bounds and the critical-vertex scan read the relay routes q_ik * q_kj
+one relay k at a time, as an (n, n) outer product: O(n^2) memory, O(n^3)
+work.  Relays go in ascending order, so the product's bits are reproducible.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .graph import _blocks
-from .spectral import _square_symmetric
+from .spectral import _check_tolerance, _square_symmetric
+from .walks import _relay_miss
 
 __all__ = [
     "BoundViolation",
@@ -63,6 +68,12 @@ class CriticalFinding:
     statistical: bool = False
 
 
+def _pairs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """(row, column) of every True entry, row-major."""
+    i, j = np.nonzero(mask)
+    return list(zip(i.tolist(), j.tolist()))
+
+
 def compute_bounds(a, q, tolerance: float = 1e-12) -> BoundsReport:
     """Evaluate the relay bounds of `q` against link probabilities `a`.
 
@@ -75,60 +86,30 @@ def compute_bounds(a, q, tolerance: float = 1e-12) -> BoundsReport:
     q = _square_symmetric(q)
     if a.shape != q.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {q.shape}")
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
+    _check_tolerance(tolerance)
     n = q.shape[0]
-    # relay[i, j, k] = q_ik * q_kj
-    relay = q[:, None, :] * q.T[None, :, :]
-    idx = np.arange(n)
-    max_terms = relay.copy()
-    max_terms[idx, :, idx] = -np.inf  # exclude k == i
-    max_terms[:, idx, idx] = -np.inf  # exclude k == j
-    lower = np.max(max_terms, axis=2)
+    lower = np.full((n, n), -np.inf)
+    for k in range(n):
+        route = np.outer(q[:, k], q[k])
+        route[k] = route[:, k] = -np.inf
+        np.maximum(lower, route, out=lower)
     lower[lower == -np.inf] = 0.0
-    prod_terms = 1.0 - relay
-    prod_terms[idx, :, idx] = 1.0
-    prod_terms[:, idx, idx] = 1.0
-    upper = 1.0 - (1.0 - a) * np.prod(prod_terms, axis=2)
+    upper = 1.0 - (1.0 - a) * _relay_miss(q, q)
     np.fill_diagonal(lower, 1.0)
     np.fill_diagonal(upper, 1.0)
-
     violations: list[BoundViolation] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if q[i, j] < lower[i, j] - tolerance:
-                violations.append(
-                    BoundViolation(i, j, "lower", float(lower[i, j] - q[i, j]))
-                )
-            if q[i, j] > upper[i, j] + tolerance:
-                violations.append(
-                    BoundViolation(i, j, "upper", float(q[i, j] - upper[i, j]))
-                )
-    unconstrained = [(i, j) for i in range(n) for j in range(i + 1, n)] if n == 2 else []
+    for i, j in _pairs(np.triu((q < lower - tolerance) | (q > upper + tolerance), 1)):
+        if q[i, j] < lower[i, j] - tolerance:
+            violations.append(BoundViolation(i, j, "lower", float(lower[i, j] - q[i, j])))
+        if q[i, j] > upper[i, j] + tolerance:
+            violations.append(BoundViolation(i, j, "upper", float(q[i, j] - upper[i, j])))
     return BoundsReport(
         lower=lower,
         upper=upper,
         violations=violations,
         tolerance=tolerance,
-        unconstrained_pairs=unconstrained,
+        unconstrained_pairs=[(0, 1)] if n == 2 else [],
     )
-
-
-def _split_around(q: np.ndarray, k: int, tolerance: float) -> list[list[int]]:
-    """Vertex blocks left once k is removed; k itself is a block of its own.
-
-    Two vertices stay together exactly when some usable route between them
-    bypasses k, i.e. q_lm strictly exceeds the through-k product.
-    """
-    n = q.shape[0]
-    others = [v for v in range(n) if v != k]
-    pairs = [
-        (l, m)
-        for ai, l in enumerate(others)
-        for m in others[ai + 1 :]
-        if q[l, m] > 0.0 and q[l, m] - q[l, k] * q[k, m] > tolerance
-    ]
-    return _blocks(n, pairs)
 
 
 def find_critical_vertices(
@@ -141,47 +122,33 @@ def find_critical_vertices(
     A witness pair (i, j) has q_ij > 0 and q_ij equal to q_ik * q_kj within
     `tolerance`.  Witness pairs are enumerated exhaustively.  For each
     finding the vertex split (V1, {k}, V3) is recovered from the matrix
-    when possible, and the product rule q_lm = q_lk * q_km is checked for
-    every l in V1, m in V3; residuals above tolerance are attached as
-    warnings.  Pass statistical=True when `q` is a sampled estimate: the
-    findings are then marked as suggestive rather than certified.
+    when possible: l and m share a side when some route bypasses k, i.e.
+    q_lm - q_lk * q_km > tolerance.  The product rule q_lm = q_lk * q_km is
+    checked for every l in V1, m in V3; residuals above tolerance are
+    attached as warnings.  Pass statistical=True when `q` is a sampled
+    estimate: the findings are then marked as suggestive rather than
+    certified.
     """
     q = _square_symmetric(q)
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
+    _check_tolerance(tolerance)
     n = q.shape[0]
+    linked = np.triu(q > 0.0, 1)
     findings: list[CriticalFinding] = []
     for k in range(n):
-        witnesses = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if i != k
-            and j != k
-            and q[i, j] > 0.0
-            and abs(q[i, j] - q[i, k] * q[k, j]) <= tolerance
-        ]
+        gap = q - np.outer(q[:, k], q[k])
+        usable = linked.copy()
+        usable[k] = usable[:, k] = False
+        witnesses = _pairs(usable & (np.abs(gap) <= tolerance))
         if not witnesses:
             continue
         i0, j0 = witnesses[0]
-        v1 = next(b for b in _split_around(q, k, tolerance) if i0 in b)
+        v1 = next(b for b in _blocks(n, _pairs(usable & (gap > tolerance))) if i0 in b)
         partition_hint = None
         warnings: list[tuple[int, int, float]] = []
         if j0 not in v1:
             v3 = [v for v in range(n) if v != k and v not in v1]
             partition_hint = (v1, v3)
-            for l in v1:
-                for m in v3:
-                    err = abs(q[l, m] - q[l, k] * q[k, m])
-                    if err > tolerance:
-                        warnings.append((l, m, float(err)))
-        findings.append(
-            CriticalFinding(
-                k=k,
-                witnesses=witnesses,
-                partition_hint=partition_hint,
-                warnings=warnings,
-                statistical=statistical,
-            )
-        )
+            err = np.abs(gap)[np.ix_(v1, v3)]
+            warnings = [(v1[r], v3[c], float(err[r, c])) for r, c in _pairs(err > tolerance)]
+        findings.append(CriticalFinding(k, witnesses, partition_hint, warnings, statistical))
     return findings

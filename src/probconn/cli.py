@@ -18,6 +18,7 @@ or usage, 3 enumeration limit exceeded (switch to `mc`).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -52,8 +53,8 @@ def _nonneg_int(text: str) -> int:
 
 def _nonneg_float(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
     return value
 
 

@@ -80,6 +80,11 @@ def _square_symmetric(matrix) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not (np.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
+
+
 def _pattern_blocks(linked: np.ndarray) -> list[list[int]]:
     """Vertex blocks chained together by the True off-diagonal entries."""
     i, j = np.nonzero(np.triu(linked, 1))
@@ -144,6 +149,7 @@ def spectral_report(
     strict definiteness as > tolerance * n.
     """
     q = _square_symmetric(q)
+    _check_tolerance(tolerance)
     n = q.shape[0]
     _check_partition(q, partition, tolerance)
     w, vecs = sym_eig(q)
@@ -226,10 +232,12 @@ def verify_corner_structure(q, eig_tolerance: float = 1e-9) -> CornerCertificate
     Returns the grouping and the expected spectrum after checking it
     against the eigensolver.
 
-    Raises ValueError when entries are not 0/1 within 1e-12 and
-    CornerStructureError when the block form or the spectrum fails.
+    Raises ValueError when entries are not 0/1 within 1e-12 or
+    `eig_tolerance` is not finite and >= 0, and CornerStructureError when
+    the block form or the spectrum fails.
     """
     a = _square_symmetric(q)
+    _check_tolerance(eig_tolerance)
     n = a.shape[0]
     rounded = np.rint(a)
     if np.max(np.abs(a - rounded)) > 1e-12 or not np.all(

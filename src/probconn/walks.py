@@ -7,6 +7,10 @@ z = 2 the per-relay edge pairs are disjoint, so the independence behind
 the product is exact; for longer walks shared edges make it an
 approximation and no exactness is claimed.
 
+The product is taken one relay l at a time, as an (n, n) outer product:
+O(n^2) memory, O(n^3) work.  Relays go in ascending order, so the bits
+are reproducible; the upper relay bound in `bounds` shares the helper.
+
 Walk matrices follow the zero-diagonal convention and are deliberately a
 separate type from connectivity matrices so the two cannot be mixed up.
 """
@@ -49,6 +53,16 @@ def walk_matrix(g: ProbGraph) -> WalkMatrix:
     return WalkMatrix(entries=w, z=1)
 
 
+def _relay_miss(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entry (i, j) is prod over l not in {i, j} of (1 - a_il * b_lj), in ascending l."""
+    miss = np.ones(a.shape)
+    for l in range(a.shape[0]):
+        term = 1.0 - np.outer(a[:, l], b[l])
+        term[l] = term[:, l] = 1.0  # in row l and column l, l is an endpoint, not a relay
+        miss *= term
+    return miss
+
+
 def otimes(a: WalkMatrix, b: WalkMatrix) -> WalkMatrix:
     """Relay composition of two walk matrices.
 
@@ -57,13 +71,7 @@ def otimes(a: WalkMatrix, b: WalkMatrix) -> WalkMatrix:
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    n = a.n
-    # terms[i, l, j] = 1 - a_il * b_lj, with excluded relays neutralized
-    terms = 1.0 - a.entries[:, :, None] * b.entries[None, :, :]
-    idx = np.arange(n)
-    terms[idx, idx, :] = 1.0  # l == i
-    terms[:, idx, idx] = 1.0  # l == j
-    return _checked(1.0 - np.prod(terms, axis=1), a.z + b.z)
+    return _checked(1.0 - _relay_miss(a.entries, b.entries), a.z + b.z)
 
 
 def walk_probabilities(m: WalkMatrix, z: int) -> WalkMatrix:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's code paths: reachability is done by
 breadth-first search instead of union-find or batched label relabelling,
-accumulation uses math.fsum instead of numpy sums, and eigenvalues come
-from cyclic Jacobi rotations instead of LAPACK.
+accumulation uses math.fsum instead of numpy sums, eigenvalues come
+from cyclic Jacobi rotations instead of LAPACK, and relay bounds and
+critical vertices come from plain loops instead of per-relay outer products.
 """
 
 from __future__ import annotations
@@ -108,3 +109,57 @@ def pair_indicators(n, active_edges) -> list[int]:
         adj[j].append(i)
     labels = _bfs_labels(n, adj)
     return [int(labels[i] == labels[j]) for i in range(n) for j in range(i + 1, n)]
+
+
+def relay_bounds(a, q):
+    """Relay bounds (lower, upper) of `q` by plain loops over (i, j, k).
+
+    lower_ij = max_k q_ik q_kj and upper_ij = 1 - (1 - a_ij) prod_k (1 - q_ik q_kj)
+    over relays k not in {i, j}; the diagonal of both is 1.
+    """
+    n = len(q)
+    lower, upper = np.eye(n), np.eye(n)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                routes = [q[i][k] * q[k][j] for k in range(n) if k not in (i, j)]
+                lower[i, j] = max(routes, default=0.0)
+                upper[i, j] = 1.0 - (1.0 - a[i][j]) * math.prod(1.0 - r for r in routes)
+    return lower, upper
+
+
+def critical_by_loops(q, tol):
+    """Critical-vertex findings as (k, witnesses, partition_hint, warnings) tuples.
+
+    Plain loops: witnesses are pairs i < j with q_ij > 0 and q_ij = q_ik q_kj
+    within `tol`; the sides around k are the BFS components of the pairs whose
+    q_lm exceeds q_lk q_km by more than `tol`; warnings list the product-rule
+    residuals above `tol` between the two sides.
+    """
+    n = len(q)
+    found = []
+    for k in range(n):
+        others = [v for v in range(n) if v != k]
+        pairs = [(i, j) for i in others for j in others if i < j and q[i][j] > 0.0]
+        witnesses = [(i, j) for i, j in pairs if abs(q[i][j] - q[i][k] * q[k][j]) <= tol]
+        if not witnesses:
+            continue
+        adj = [[] for _ in range(n)]
+        for l, m in pairs:
+            if q[l][m] - q[l][k] * q[k][m] > tol:
+                adj[l].append(m)
+                adj[m].append(l)
+        labels = _bfs_labels(n, adj)
+        i0, j0 = witnesses[0]
+        hint, warnings = None, []
+        if labels[j0] != labels[i0]:
+            v1 = [v for v in others if labels[v] == labels[i0]]
+            v3 = [v for v in others if labels[v] != labels[i0]]
+            hint = (v1, v3)
+            for l in v1:
+                for m in v3:
+                    err = abs(q[l][m] - q[l][k] * q[k][m])
+                    if err > tol:
+                        warnings.append((l, m, float(err)))
+        found.append((k, witnesses, hint, warnings))
+    return found

@@ -8,8 +8,10 @@ from probconn import (
     compute_bounds,
     exact_connectivity,
     find_critical_vertices,
+    mc_connectivity,
 )
 from graphgen import random_connected_graph, random_graph
+from oracles import critical_by_loops, relay_bounds
 
 TRIANGLE = build_graph(3, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)])
 PATH3 = build_graph(3, [(0, 1, 0.9), (1, 2, 0.8)])
@@ -84,6 +86,12 @@ class TestComputeBounds:
         with pytest.raises(ValueError, match="infinite"):
             compute_bounds(adjacency_matrix(TRIANGLE), q)
 
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, -1e-12])
+    def test_rejects_tolerance_not_finite_and_nonnegative(self, tolerance):
+        q = exact_connectivity(PATH3)
+        with pytest.raises(ValueError, match="tolerance"):
+            compute_bounds(adjacency_matrix(PATH3), q, tolerance)
+
 
 class TestFindCriticalVertices:
     def test_path_center_is_critical(self):
@@ -106,6 +114,11 @@ class TestFindCriticalVertices:
         assert findings[0].witnesses == [(0, 3), (0, 4), (1, 3), (1, 4)]
         assert findings[0].partition_hint == ([0, 1], [3, 4])
         assert findings[0].warnings == []
+
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, -1e-9])
+    def test_rejects_tolerance_not_finite_and_nonnegative(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            find_critical_vertices(exact_connectivity(PATH3), tolerance)
 
     def test_statistical_flag_is_carried(self):
         q = exact_connectivity(PATH3)
@@ -130,3 +143,66 @@ class TestFindCriticalVertices:
         assert findings[2].partition_hint == ([0, 1], [3])
         assert findings[1].warnings == []
         assert findings[2].warnings == []
+
+
+TOLERANCES = (0.0, 1e-12, 1e-9, 1e-3)
+
+
+def _reference_cases(kind):
+    """(a, q) pairs of one kind: exact, sampled, out-of-range or tiny (n = 1, 2)."""
+    if kind == "tiny":
+        graphs = [build_graph(1, []), build_graph(2, [(0, 1, 0.6)])]
+        return [(adjacency_matrix(g), exact_connectivity(g)) for g in graphs]
+    rng = np.random.default_rng(404)
+    cases = []
+    for s in range(10):
+        g = random_connected_graph(rng, n_lo=4, n_hi=9, extra_hi=4)
+        if kind == "exact":
+            q = exact_connectivity(g)
+        elif kind == "sampled":  # few samples: noisy, with bound violations
+            q = mc_connectivity(g, samples=10, seed=s).q_hat
+        else:  # symmetric entries in [-0.5, 1.5), unit diagonal
+            q = np.triu(rng.uniform(-0.5, 1.5, size=(g.n, g.n)), 1)
+            q = q + q.T + np.eye(g.n)
+        cases.append((adjacency_matrix(g), q))
+    return cases
+
+
+def _violations_by_loops(q, lower, upper, tolerance):
+    found = []
+    for i in range(len(q)):
+        for j in range(i + 1, len(q)):
+            if q[i, j] < lower[i, j] - tolerance:
+                found.append((i, j, "lower", lower[i, j] - q[i, j]))
+            if q[i, j] > upper[i, j] + tolerance:
+                found.append((i, j, "upper", q[i, j] - upper[i, j]))
+    return found
+
+
+@pytest.mark.parametrize("kind", ["exact", "sampled", "out_of_range", "tiny"])
+class TestAgainstLoopReferences:
+    def test_bounds_match_relay_loops(self, kind):
+        violations = 0
+        for a, q in _reference_cases(kind):
+            lower, upper = relay_bounds(a, q)
+            for tolerance in TOLERANCES:
+                report = compute_bounds(a, q, tolerance)
+                np.testing.assert_array_equal(report.lower, lower)
+                np.testing.assert_array_equal(report.upper, upper)
+                assert report.violations == _violations_by_loops(q, lower, upper, tolerance)
+                violations += len(report.violations)
+        if kind in ("sampled", "out_of_range"):
+            assert violations > 0
+
+    def test_critical_vertices_match_triple_loop(self, kind):
+        warnings = 0
+        for _, q in _reference_cases(kind):
+            for tolerance in TOLERANCES:
+                findings = find_critical_vertices(q, tolerance, statistical=kind == "sampled")
+                assert [
+                    (f.k, f.witnesses, f.partition_hint, f.warnings) for f in findings
+                ] == critical_by_loops(q, tolerance)
+                assert all(f.statistical == (kind == "sampled") for f in findings)
+                warnings += sum(len(f.warnings) for f in findings)
+        if kind == "sampled":
+            assert warnings > 0

@@ -201,3 +201,14 @@ class TestRunCommand:
             capsys, ["mc", "--input", triangle_file, "--samples", "0"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-9"])
+    def test_tolerance_not_finite_and_nonnegative_rejected_by_usage(
+        self, capsys, triangle_file, tolerance
+    ):
+        code, out, err = _run(
+            capsys, ["compute", "--input", triangle_file, "--tolerance", tolerance]
+        )
+        assert code == 2
+        assert out == ""
+        assert "--tolerance" in err

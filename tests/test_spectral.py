@@ -134,6 +134,12 @@ class TestSpectralReport:
         with pytest.raises(ValueError, match="mismatch"):
             spectral_report(q, [[0], [1, 2]])
 
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, -1e-9])
+    def test_rejects_tolerance_not_finite_and_nonnegative(self, tolerance):
+        q = exact_connectivity(TRIANGLE)
+        with pytest.raises(ValueError, match="tolerance"):
+            spectral_report(q, support_components(TRIANGLE), tolerance=tolerance)
+
     def test_rejects_partition_not_covering_vertices(self):
         q = exact_connectivity(TRIANGLE)
         with pytest.raises(ValueError, match="partition"):
@@ -210,6 +216,11 @@ class TestVerifyCornerStructure:
     def test_rejects_fractional_entries(self):
         with pytest.raises(ValueError, match="0/1"):
             verify_corner_structure(exact_connectivity(TRIANGLE))
+
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, -1e-9])
+    def test_rejects_tolerance_not_finite_and_nonnegative(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_corner_structure(np.eye(3), eig_tolerance=tolerance)
 
     def test_rejects_broken_block_structure(self):
         # transitivity violated: 0-1 and 1-2 sure but 0-2 not

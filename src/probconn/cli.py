@@ -99,10 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rows(matrix) -> list[list[float]]:
-    return [[float(x) for x in row] for row in matrix]
-
-
 def _base_document(command: str, g: ProbGraph) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -120,22 +116,22 @@ def _spectrum_fields(q, partition, include_eigvec: bool = False) -> dict:
             {"vertices": block, "lambda_max": lam}
             for block, lam in zip(partition, report.component_lambdas)
         ],
-        "eigenvalues": [float(w) for w in report.eigenvalues],
+        "eigenvalues": report.eigenvalues.tolist(),
         "lambda_max": report.lambda_max,
         "lambda_max_normalized": report.lambda_max_normalized,
         "psd": report.psd,
         "definite": report.definite,
     }
     if include_eigvec:
-        fields["principal_eigenvector"] = [float(x) for x in report.principal_eigvec]
+        fields["principal_eigenvector"] = report.principal_eigvec.tolist()
     return fields
 
 
 def _bounds_fields(g: ProbGraph, q, tolerance: float) -> dict:
     report = compute_bounds(adjacency_matrix(g), q, tolerance)
     return {
-        "lower": _rows(report.lower),
-        "upper": _rows(report.upper),
+        "lower": report.lower.tolist(),
+        "upper": report.upper.tolist(),
         "tolerance": report.tolerance,
         "violations": [
             {"i": v.i, "j": v.j, "kind": v.kind, "magnitude": v.magnitude}
@@ -176,7 +172,7 @@ def run_command(argv: list[str]) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"probconn: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
 
@@ -191,7 +187,7 @@ def run_command(argv: list[str]) -> int:
         if args.command == "compute":
             q = exact_connectivity(g, args.max_edges)
             doc["engine"] = "exact"
-            doc["q"] = _rows(q)
+            doc["q"] = q.tolist()
             doc.update(_spectrum_fields(q, support_components(g)))
             doc["bounds"] = _bounds_fields(
                 g, q, args.tolerance if args.tolerance is not None else _DEFAULT_BOUNDS_TOL
@@ -204,17 +200,17 @@ def run_command(argv: list[str]) -> int:
         elif args.command == "mc":
             est = mc_connectivity(g, args.samples, args.seed)
             doc["engine"] = "mc"
-            doc["q"] = _rows(est.q_hat)
+            doc["q"] = est.q_hat.tolist()
             doc.update(_spectrum_fields(est.q_hat, support_components(g)))
             doc["mc"] = {
                 "samples": est.samples,
                 "seed": est.seed,
-                "std_err": _rows(est.std_err),
+                "std_err": est.std_err.tolist(),
             }
         elif args.command == "bounds":
             q = exact_connectivity(g, args.max_edges)
             doc["engine"] = "exact"
-            doc["q"] = _rows(q)
+            doc["q"] = q.tolist()
             doc["bounds"] = _bounds_fields(
                 g, q, args.tolerance if args.tolerance is not None else _DEFAULT_BOUNDS_TOL
             )
@@ -233,7 +229,7 @@ def run_command(argv: list[str]) -> int:
         elif args.command == "walk":
             walked = walk_probabilities(walk_matrix(g), args.z)
             doc["z"] = walked.z
-            doc["walk"] = _rows(walked.entries)
+            doc["walk"] = walked.entries.tolist()
         elif args.command == "rank":
             ranking = rank_improvements(g, args.include_absent, args.max_edges)
             doc["engine"] = "exact"

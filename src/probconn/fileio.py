@@ -11,16 +11,24 @@ Exactly one header line ``n <count>`` must precede the ``e <i> <j> <p>``
 edge lines; vertex indices are 0-based.  Blank lines are ignored.  Parse
 errors carry the offending line number.
 
-JSON documents are emitted with a fixed key order and floats rendered at
-17 significant digits, so output for a given input is byte-identical
-across runs and round-trips to the same double.
+JSON documents are emitted by the standard library encoder in the key order
+the document was built in.  Floats are written in Python's shortest
+round-trip ``repr`` (``0.27885``, ``1.0``), so every number parses back to
+the same double and output for a given input is byte-identical across runs.
+NaN and infinities are refused with ValueError.
 """
 
 from __future__ import annotations
 
 import json
 
-from .graph import GraphValidationError, ProbGraph, build_graph
+from .graph import (
+    GraphValidationError,
+    ProbGraph,
+    _check_edge,
+    _check_vertex_count,
+    build_graph,
+)
 
 __all__ = ["GraphFileError", "format_graph_file", "parse_graph_file", "to_json"]
 
@@ -54,8 +62,10 @@ def parse_graph_file(text: str) -> ProbGraph:
                 n = int(fields[1])
             except ValueError:
                 raise GraphFileError(f"vertex count {fields[1]!r} is not an integer", lineno)
-            if n < 1:
-                raise GraphFileError(f"vertex count must be >= 1, got {n}", lineno)
+            try:
+                _check_vertex_count(n)
+            except GraphValidationError as exc:
+                raise GraphFileError(str(exc), lineno) from exc
         elif tag == "e":
             if n is None:
                 raise GraphFileError("edge line before the 'n' header", lineno)
@@ -69,25 +79,15 @@ def parse_graph_file(text: str) -> ProbGraph:
                 p = float(fields[3])
             except ValueError:
                 raise GraphFileError(f"probability {fields[3]!r} is not a number", lineno)
-            if i == j:
-                raise GraphFileError(f"self-loop at vertex {i}", lineno)
-            if not (0 <= i < n) or not (0 <= j < n):
-                raise GraphFileError(f"edge ({i}, {j}) outside [0, {n})", lineno)
-            if not (0.0 <= p <= 1.0):
-                raise GraphFileError(f"probability {p} outside [0, 1]", lineno)
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise GraphFileError(f"duplicate edge {key}", lineno)
-            seen.add(key)
-            edges.append((i, j, p))
+            try:
+                edges.append(_check_edge(n, i, j, p, seen))
+            except GraphValidationError as exc:
+                raise GraphFileError(str(exc), lineno) from exc
         else:
             raise GraphFileError(f"unknown directive {tag!r}", lineno)
     if n is None:
         raise GraphFileError("missing 'n' header")
-    try:
-        return build_graph(n, edges)
-    except GraphValidationError as exc:  # everything above should have caught it
-        raise GraphFileError(str(exc)) from exc
+    return build_graph(n, edges)
 
 
 def format_graph_file(g: ProbGraph) -> str:
@@ -97,68 +97,22 @@ def format_graph_file(g: ProbGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(value, out: list[str], indent: int | None, level: int) -> None:
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            raise ValueError(f"non-finite number {value} in JSON document")
-        out.append(format(value, ".17g"))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        open_, close, sep, pad = _punctuation("[", "]", indent, level)
-        out.append(open_)
-        for pos, item in enumerate(value):
-            if pos:
-                out.append(sep)
-            out.append(pad)
-            _emit(item, out, indent, level + 1)
-        _close(out, close, indent, level)
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        open_, close, sep, pad = _punctuation("{", "}", indent, level)
-        out.append(open_)
-        for pos, (key, item) in enumerate(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be strings, got {key!r}")
-            if pos:
-                out.append(sep)
-            out.append(pad)
-            out.append(json.dumps(key))
-            out.append(": " if indent is not None else ":")
-            _emit(item, out, indent, level + 1)
-        _close(out, close, indent, level)
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
-
-
-def _punctuation(open_: str, close: str, indent: int | None, level: int):
-    if indent is None:
-        return open_, close, ",", ""
-    pad = "\n" + " " * (indent * (level + 1))
-    return open_, close, ",", pad
-
-
-def _close(out: list[str], close: str, indent: int | None, level: int) -> None:
-    if indent is not None:
-        out.append("\n" + " " * (indent * level))
-    out.append(close)
-
-
 def to_json(document, pretty: bool = False) -> str:
-    """Serialize a result document deterministically."""
-    out: list[str] = []
-    _emit(document, out, 2 if pretty else None, 0)
-    return "".join(out)
+    """Serialize a result document deterministically.
+
+    Compact output has no whitespace; `pretty` indents by two spaces.
+    Floats are written in their shortest round-trip ``repr``.  Raises
+    ValueError if the document holds a NaN or an infinity.
+    """
+    try:
+        # check_circular=False: documents are trees, so the encoder's only
+        # ValueError left is an out-of-range float
+        return json.dumps(
+            document,
+            allow_nan=False,
+            check_circular=False,
+            indent=2 if pretty else None,
+            separators=None if pretty else (",", ":"),
+        )
+    except ValueError as exc:
+        raise ValueError("non-finite number in JSON document") from exc

@@ -8,7 +8,6 @@ vertex pairs can ever be connected.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -57,6 +56,39 @@ class ProbGraph:
         raise KeyError(f"no edge ({a}, {b})")
 
 
+def _check_vertex_count(n: int) -> None:
+    if n < 1:
+        raise GraphValidationError(f"vertex count must be >= 1, got {n}")
+
+
+def _check_edge(
+    n: int, i: int, j: int, p: float, seen: set[tuple[int, int]]
+) -> tuple[int, int, float]:
+    """One edge as (i, j, p) with i < j, its pair added to `seen`.
+
+    Raises GraphValidationError for a self-loop, an endpoint outside
+    [0, n), a probability outside [0, 1] or a pair already in `seen`.
+    """
+    i, j = int(i), int(j)
+    if i == j:
+        raise GraphValidationError(f"self-loop at vertex {i}")
+    if not (0 <= i < n) or not (0 <= j < n):
+        raise GraphValidationError(
+            f"edge ({i}, {j}) has an endpoint outside [0, {n})"
+        )
+    p = float(p)
+    if not (0.0 <= p <= 1.0):  # also true for NaN
+        raise GraphValidationError(
+            f"edge ({i}, {j}) probability {p} is outside [0, 1]"
+        )
+    if i > j:
+        i, j = j, i
+    if (i, j) in seen:
+        raise GraphValidationError(f"duplicate edge ({i}, {j})")
+    seen.add((i, j))
+    return i, j, p
+
+
 def build_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> ProbGraph:
     """Validate and canonicalize a graph description.
 
@@ -68,29 +100,9 @@ def build_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> ProbGraph:
     Raises GraphValidationError for: n < 1, self-loops, indices outside
     [0, n), probabilities outside [0, 1], or a repeated unordered pair.
     """
-    if n < 1:
-        raise GraphValidationError(f"vertex count must be >= 1, got {n}")
+    _check_vertex_count(n)
     seen: set[tuple[int, int]] = set()
-    canon: list[tuple[int, int, float]] = []
-    for i, j, p in edges:
-        i, j = int(i), int(j)
-        if i == j:
-            raise GraphValidationError(f"self-loop at vertex {i}")
-        if not (0 <= i < n) or not (0 <= j < n):
-            raise GraphValidationError(
-                f"edge ({i}, {j}) has an endpoint outside [0, {n})"
-            )
-        p = float(p)
-        if math.isnan(p) or not (0.0 <= p <= 1.0):
-            raise GraphValidationError(
-                f"edge ({i}, {j}) probability {p} is outside [0, 1]"
-            )
-        if i > j:
-            i, j = j, i
-        if (i, j) in seen:
-            raise GraphValidationError(f"duplicate edge ({i}, {j})")
-        seen.add((i, j))
-        canon.append((i, j, p))
+    canon = [_check_edge(n, i, j, p, seen) for i, j, p in edges]
     canon.sort(key=lambda e: (e[0], e[1]))
     return ProbGraph(n=n, edges=tuple(canon))
 

@@ -1,14 +1,21 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from probconn import (
     GraphFileError,
+    adjacency_matrix,
     build_graph,
+    compute_bounds,
+    exact_connectivity,
     format_graph_file,
+    mc_connectivity,
     parse_graph_file,
     to_json,
+    walk_matrix,
+    walk_probabilities,
 )
 from probconn.cli import run_command
 from graphgen import random_graph
@@ -67,14 +74,29 @@ class TestToJson:
         values = [1 / 3, 0.1 + 0.2, 2.0 ** -53, 1e300]
         text = to_json(values)
         assert json.loads(text) == values
+        values += [-0.0, 0.0, 1.0, 5e-324, np.float64(0.27885)]
+        parsed = json.loads(to_json(values))
+        assert parsed == values
+        assert all(type(v) is float for v in parsed)
+        assert [math.copysign(1, v) for v in parsed] == [
+            math.copysign(1, v) for v in values
+        ]
 
     def test_pretty_output_parses(self):
         doc = {"q": [[1.0, 0.5], [0.5, 1.0]], "n": 2}
         assert json.loads(to_json(doc, pretty=True)) == json.loads(to_json(doc))
+        assert to_json(doc, pretty=True) == (
+            '{\n  "q": [\n    [\n      1.0,\n      0.5\n    ],\n'
+            '    [\n      0.5,\n      1.0\n    ]\n  ],\n  "n": 2\n}'
+        )
+        assert to_json({"a": [], "b": {}}, pretty=True) == '{\n  "a": [],\n  "b": {}\n}'
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             to_json({"bad": float("nan")})
+        for bad in (float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="non-finite"):
+                to_json({"q": [[1.0, 0.5], [0.5, bad]]})
 
 
 @pytest.fixture
@@ -156,6 +178,44 @@ class TestRunCommand:
         assert (1, 3) in pairs and (0, 1) in pairs
         gains = [e["projected_gain"] for e in doc["ranking"]]
         assert gains == sorted(gains, reverse=True)
+
+    def test_matrices_parse_back_bit_for_bit(self, capsys, tmp_path):
+        # two support components, so block zeros are written too
+        g = build_graph(
+            6,
+            [(0, 1, 0.27885), (1, 2, 1 / 3), (0, 2, 0.7), (3, 4, 0.1 + 0.2),
+             (4, 5, 0.91), (3, 5, 0.55)],
+        )
+        path = tmp_path / "g.pg"
+        path.write_text(format_graph_file(g))
+        q = exact_connectivity(g)
+
+        _, out, _ = _run(capsys, ["compute", "--input", str(path)])
+        doc = json.loads(out)
+        bounds = compute_bounds(adjacency_matrix(g), q, 1e-12)
+        assert np.array_equal(np.array(doc["q"]), q)
+        assert np.array_equal(np.array(doc["bounds"]["lower"]), bounds.lower)
+        assert np.array_equal(np.array(doc["bounds"]["upper"]), bounds.upper)
+
+        _, out, _ = _run(
+            capsys, ["mc", "--input", str(path), "--samples", "500", "--seed", "3"]
+        )
+        doc = json.loads(out)
+        est = mc_connectivity(g, 500, 3)
+        assert np.array_equal(np.array(doc["q"]), est.q_hat)
+        assert np.array_equal(np.array(doc["mc"]["std_err"]), est.std_err)
+
+        _, out, _ = _run(capsys, ["walk", "--z", "3", "--input", str(path)])
+        walked = walk_probabilities(walk_matrix(g), 3)
+        assert np.array_equal(np.array(json.loads(out)["walk"]), walked.entries)
+
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.pg"
+        bad.write_bytes(b"n 2\ne 0 1 0.5\n\xff\xfe\n")
+        code, out, err = _run(capsys, ["compute", "--input", str(bad)])
+        assert code == 2
+        assert out == ""
+        assert "cannot read" in err
 
     def test_pretty_flag_changes_layout_not_content(self, capsys, triangle_file):
         _, flat, _ = _run(capsys, ["compute", "--input", triangle_file])

@@ -54,7 +54,7 @@ from .spectral import (
 )
 from .walks import WalkMatrix, otimes, walk_matrix, walk_probabilities
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AffineSlice",

@@ -34,7 +34,7 @@ from .walks import walk_matrix, walk_probabilities
 SCHEMA_VERSION = "1.0.0"
 
 _DEFAULT_BOUNDS_TOL = 1e-12
-_DEFAULT_CRITICAL_TOL = 1e-9
+_DEFAULT_CRITICAL_TOL = 1e-9  # also the spectral verdicts
 
 
 def _positive_int(text: str) -> int:
@@ -109,8 +109,8 @@ def _base_document(command: str, g: ProbGraph) -> dict:
     }
 
 
-def _spectrum_fields(q, partition, include_eigvec: bool = False) -> dict:
-    report = spectral_report(q, partition)
+def _spectrum_fields(q, partition, tolerance: float, include_eigvec: bool = False) -> dict:
+    report = spectral_report(q, partition, tolerance)
     fields = {
         "components": [
             {"vertices": block, "lambda_max": lam}
@@ -183,25 +183,22 @@ def run_command(argv: list[str]) -> int:
         return 2
 
     doc = _base_document(args.command, g)
+    bounds_tol = _DEFAULT_BOUNDS_TOL if args.tolerance is None else args.tolerance
+    critical_tol = _DEFAULT_CRITICAL_TOL if args.tolerance is None else args.tolerance
     try:
         if args.command == "compute":
             q = exact_connectivity(g, args.max_edges)
             doc["engine"] = "exact"
             doc["q"] = q.tolist()
-            doc.update(_spectrum_fields(q, support_components(g)))
-            doc["bounds"] = _bounds_fields(
-                g, q, args.tolerance if args.tolerance is not None else _DEFAULT_BOUNDS_TOL
-            )
-            critical_tol = (
-                args.tolerance if args.tolerance is not None else _DEFAULT_CRITICAL_TOL
-            )
+            doc.update(_spectrum_fields(q, support_components(g), critical_tol))
+            doc["bounds"] = _bounds_fields(g, q, bounds_tol)
             doc["critical_tolerance"] = critical_tol
             doc["critical_vertices"] = _critical_fields(q, critical_tol)
         elif args.command == "mc":
             est = mc_connectivity(g, args.samples, args.seed)
             doc["engine"] = "mc"
             doc["q"] = est.q_hat.tolist()
-            doc.update(_spectrum_fields(est.q_hat, support_components(g)))
+            doc.update(_spectrum_fields(est.q_hat, support_components(g), critical_tol))
             doc["mc"] = {
                 "samples": est.samples,
                 "seed": est.seed,
@@ -211,19 +208,14 @@ def run_command(argv: list[str]) -> int:
             q = exact_connectivity(g, args.max_edges)
             doc["engine"] = "exact"
             doc["q"] = q.tolist()
-            doc["bounds"] = _bounds_fields(
-                g, q, args.tolerance if args.tolerance is not None else _DEFAULT_BOUNDS_TOL
-            )
+            doc["bounds"] = _bounds_fields(g, q, bounds_tol)
         elif args.command == "spectrum":
             q = exact_connectivity(g, args.max_edges)
             doc["engine"] = "exact"
-            doc.update(_spectrum_fields(q, support_components(g), include_eigvec=True))
+            doc.update(_spectrum_fields(q, support_components(g), critical_tol, True))
         elif args.command == "critical":
             q = exact_connectivity(g, args.max_edges)
             doc["engine"] = "exact"
-            critical_tol = (
-                args.tolerance if args.tolerance is not None else _DEFAULT_CRITICAL_TOL
-            )
             doc["critical_tolerance"] = critical_tol
             doc["critical_vertices"] = _critical_fields(q, critical_tol)
         elif args.command == "walk":

@@ -1,15 +1,15 @@
 """Monte Carlo estimation of the connectivity matrix for larger graphs.
 
-Edge draws come from a counter-based generator: the uniform variate for
-edge k of sample t is a pure function of (seed, t, k), using the
-SplitMix64 finalizer over the stream position t*m + k.  Each chunk of
-samples is reduced to its distinct edge states and their multiplicities
-(sorting the states packed into 64-bit words), which go through the
-batched edge-state kernel shared with the exact engine
+Edge draws come from NumPy's counter-based Philox-4x64 generator keyed by
+the seed: sample t reads its own counter blocks, so the uniform variate
+for edge k of sample t is a pure function of (seed, t, k) and a chunk can
+start anywhere in the stream.  Samples are drawn in chunks of a fixed
+byte budget.  Each chunk is reduced to its distinct edge states and their
+multiplicities (sorting the states packed into 64-bit words), which go
+through the batched edge-state kernel shared with the exact engine
 (:func:`probconn.graph._state_pair_sums`).  Connectivity indicators are
 accumulated as integer counts, so the estimate is independent of chunking
-or worker layout and repeated runs with the same (graph, samples, seed)
-are bit-identical.
+and repeated runs with the same (graph, samples, seed) are bit-identical.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from .graph import ProbGraph, _pair_matrix, _state_pair_sums
 
 __all__ = ["HalfWidths", "McEstimate", "ci_halfwidth", "mc_connectivity"]
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+# Bytes of uniforms drawn per chunk: 65536 samples at m <= 16, ~11k at m = 90
+_DRAW_BYTES = 8 << 20
 _CONFIDENCE_LEVELS = (0.90, 0.95, 0.99)
 
 
@@ -46,37 +47,27 @@ class HalfWidths(NamedTuple):
     hoeffding: float
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer (wrapping uint64 arithmetic)."""
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+def _edge_uniforms(seed: int, lo: int, hi: int, m: int) -> np.ndarray:
+    """Uniforms in [0, 1) for samples lo..hi-1, one column per edge.
+
+    Sample t reads the w = ceil(m / 4) Philox-4x64 blocks that follow
+    counter t*w in the stream keyed by the seed (mod 2**128), so chunks are
+    slices of one long stream.  Each block gives four 64-bit outputs x; the
+    first m of a sample's 4w outputs are its edges, each (x >> 11) * 2**-53,
+    which is the conversion `Generator.random` applies to the raw outputs
+    in order.
+    """
+    w = -(-m // 4)
+    bitgen = np.random.Philox(key=seed % (1 << 128), counter=lo * w)
+    return np.random.Generator(bitgen).random((hi - lo, 4 * w))[:, :m]
 
 
-def _scramble_seed(seed: int) -> np.uint64:
-    with np.errstate(over="ignore"):
-        return _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GAMMA)
-
-
-def _edge_uniforms(seed0: np.uint64, lo: int, hi: int, m: int) -> np.ndarray:
-    """Uniforms in [0, 1) for samples lo..hi-1, one column per edge."""
-    counters = (
-        np.arange(lo, hi, dtype=np.uint64)[:, None] * np.uint64(m)
-        + np.arange(m, dtype=np.uint64)[None, :]
-    )
-    with np.errstate(over="ignore"):
-        bits = _mix64(seed0 + (counters + np.uint64(1)) * _GAMMA)
-    return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
-def _distinct_states(
-    seed0: np.uint64, lo: int, hi: int, probs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct edge states of samples lo..hi-1 and how often each occurs."""
-    m = len(probs)
+def _distinct_states(on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of the (samples, m) bool matrix `on` and how often each occurs."""
+    rows, m = on.shape
     words = -(-m // 64)
-    bits = np.zeros((hi - lo, 64 * words), dtype=bool)
-    np.less(_edge_uniforms(seed0, lo, hi, m), probs, out=bits[:, :m])
+    bits = np.zeros((rows, 64 * words), dtype=bool)
+    bits[:, :m] = on
     packed = np.packbits(bits).view(np.uint64)
     # one 64-bit word sorts as an integer; wider states as opaque byte strings
     keys = packed if words == 1 else packed.view(np.dtype((np.void, 8 * words)))
@@ -85,19 +76,16 @@ def _distinct_states(
     return states.view(bool), counts
 
 
-def mc_connectivity(
-    g: ProbGraph,
-    samples: int,
-    seed: int = 0,
-    *,
-    chunk_size: int = 1 << 16,
-) -> McEstimate:
+def mc_connectivity(g: ProbGraph, samples: int, seed: int = 0) -> McEstimate:
     """Estimate the connectivity matrix by sampling full edge states.
 
     Each sample draws every edge independently as Bernoulli(p_k), resolves
     connectivity of the realized deterministic graph, and contributes a
-    0/1 indicator per vertex pair.  `chunk_size` only batches the work;
-    it never changes the result.
+    0/1 indicator per vertex pair.  Sample t draws its edges from its own
+    blocks of the Philox-4x64 stream keyed by `seed` mod 2**128 (see
+    `_edge_uniforms`), so the estimate depends only on (graph, samples,
+    seed); samples are drawn in chunks of about _DRAW_BYTES of uniforms,
+    which bounds memory and never changes the result.
 
     Raises ValueError when samples < 1.
     """
@@ -106,12 +94,12 @@ def mc_connectivity(
     n, m = g.n, g.m
     if m == 0:
         return McEstimate(np.eye(n), samples, np.zeros((n, n)), seed)
-    chunk_size = max(1, int(chunk_size))
     eu, ev, probs = (np.array(column) for column in zip(*g.edges))
-    seed0 = _scramble_seed(seed)
+    chunk = max(1, _DRAW_BYTES // (32 * -(-m // 4)))  # 4 * ceil(m / 4) float64 per sample
     pair_counts = np.zeros(n * (n - 1) // 2, dtype=np.int64)
-    for lo in range(0, samples, chunk_size):
-        states, counts = _distinct_states(seed0, lo, min(lo + chunk_size, samples), probs)
+    for lo in range(0, samples, chunk):
+        on = _edge_uniforms(seed, lo, min(lo + chunk, samples), m) < probs
+        states, counts = _distinct_states(on)
         pair_counts += _state_pair_sums(n, eu, ev, states, counts)
     q_hat = _pair_matrix(n, pair_counts / samples)
     std_err = np.sqrt(q_hat * (1.0 - q_hat) / samples)

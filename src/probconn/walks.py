@@ -39,7 +39,7 @@ class WalkMatrix:
 def _checked(entries: np.ndarray, z: int) -> WalkMatrix:
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"walk matrix must be square, got shape {entries.shape}")
-    if np.any(entries < 0.0) or np.any(entries > 1.0):
+    if not np.all((entries >= 0.0) & (entries <= 1.0)):  # NaN fails both
         raise ValueError("walk matrix entries must lie in [0, 1]")
     return WalkMatrix(entries=entries, z=z)
 
@@ -67,11 +67,15 @@ def otimes(a: WalkMatrix, b: WalkMatrix) -> WalkMatrix:
     """Relay composition of two walk matrices.
 
     Entry (i, j) is 1 - prod over l not in {i, j} of (1 - a_il * b_lj);
-    the diagonal uses the same formula.
+    the diagonal uses the same formula.  Raises ValueError unless every
+    entry of both operands lies in [0, 1].
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    return _checked(1.0 - _relay_miss(a.entries, b.entries), a.z + b.z)
+    for operand in (a, b):
+        _checked(operand.entries, operand.z)
+    # entries in [0, 1] keep every relay term, and so the result, in [0, 1]
+    return WalkMatrix(1.0 - _relay_miss(a.entries, b.entries), a.z + b.z)
 
 
 def walk_probabilities(m: WalkMatrix, z: int) -> WalkMatrix:

@@ -5,6 +5,9 @@ breadth-first search instead of union-find or batched label relabelling,
 accumulation uses math.fsum instead of numpy sums, eigenvalues come
 from cyclic Jacobi rotations instead of LAPACK, and relay bounds and
 critical vertices come from plain loops instead of per-relay outer products.
+The SplitMix64 edge draws that the Monte Carlo count fixture was recorded
+with live here too, so the fixture stays checkable after the engine moved
+to NumPy's Philox stream.
 """
 
 from __future__ import annotations
@@ -99,6 +102,28 @@ def eigvals_descending(matrix) -> np.ndarray:
                 vp, vq = view[p].copy(), view[q].copy()
                 view[p], view[q] = c * vp - s * vq, s * vp + c * vq
     raise AssertionError("Jacobi sweeps did not converge")
+
+
+def splitmix64_uniforms(seed, lo, hi, m) -> np.ndarray:
+    """Edge uniforms of samples lo..hi-1 from the SplitMix64 stream of earlier versions.
+
+    The Monte Carlo count fixture was recorded with these draws: edge k of
+    sample t is (mix(s + (t*m + k + 1) * GAMMA) >> 11) * 2**-53 with
+    s = mix(seed mod 2**64 + GAMMA), in wrapping 64-bit arithmetic, where
+    mix is the SplitMix64 finalizer.
+    """
+    gamma = np.uint64(0x9E3779B97F4A7C15)
+
+    def mix(x):
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return x ^ (x >> np.uint64(31))
+
+    with np.errstate(over="ignore"):
+        s = mix(np.uint64(seed % (1 << 64)) + gamma)
+        t = np.arange(lo, hi, dtype=np.uint64)[:, None] * np.uint64(m)
+        bits = mix(s + (t + np.arange(m, dtype=np.uint64) + np.uint64(1)) * gamma)
+    return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def pair_indicators(n, active_edges) -> list[int]:

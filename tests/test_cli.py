@@ -149,6 +149,17 @@ class TestRunCommand:
         assert doc["eigenvalues"][0] == pytest.approx(2.25, abs=1e-12)
         assert len(doc["principal_eigenvector"]) == 3
 
+    @pytest.mark.parametrize(
+        "command", [["spectrum"], ["compute"], ["mc", "--samples", "2000", "--seed", "1"]]
+    )
+    def test_tolerance_reaches_the_spectral_verdicts(self, capsys, triangle_file, command):
+        # lambda_min = 0.375 at p = 0.5: definite at the default 1e-9 * 3, not at 0.5 * 3
+        argv = command + ["--input", triangle_file]
+        assert json.loads(_run(capsys, argv)[1])["definite"] is True
+        code, out, _ = _run(capsys, argv + ["--tolerance", "0.5"])
+        assert code == 0
+        assert json.loads(out)["definite"] is False
+
     def test_mc_runs_are_byte_identical(self, capsys, triangle_file):
         args = ["mc", "--input", triangle_file, "--samples", "20000", "--seed", "7"]
         code1, out1, _ = _run(capsys, args)

@@ -12,6 +12,8 @@ from probconn import (
     state_probability,
     with_edge_probability,
 )
+from probconn import exact as exact_module
+from probconn import graph as graph_module
 from graphgen import random_graph
 from oracles import connectivity_by_enumeration
 
@@ -93,6 +95,12 @@ class TestExactConnectivity:
             q = exact_connectivity(g)
             expected = connectivity_by_enumeration(g.n, g.edges)
             np.testing.assert_allclose(q, expected, atol=1e-13)
+
+    def test_matches_oracle_across_chunk_and_slice_boundaries(self, monkeypatch):
+        # no graph of at most 10 edges crosses them at the default sizes
+        monkeypatch.setattr(exact_module, "_MASKS_PER_CHUNK", 7)
+        monkeypatch.setattr(graph_module, "_SLICE_BYTES", 200)
+        self.test_matches_oracle_on_random_graphs()
 
     def test_edge_limit_is_per_component(self):
         g = build_graph(

@@ -1,14 +1,39 @@
+import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from probconn import build_graph, ci_halfwidth, exact_connectivity, mc_connectivity
+from probconn import montecarlo
+from probconn.graph import _state_pair_sums
 from graphgen import random_graph
+from oracles import splitmix64_uniforms
 
 TRIANGLE = build_graph(3, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)])
 PINNED = json.loads((Path(__file__).parent / "mc_counts_fixture.json").read_text())
+# pair counts, in np.triu_indices order, of the Philox draws (see TestPhiloxStream)
+PHILOX_TRIANGLE = [648, 649, 657]
+PHILOX_NARROW = [262, 247, 204, 225, 237, 289, 309, 446, 292, 256, 229, 193, 334, 378, 364]
+PHILOX_WIDE_70 = [
+    23, 30, 9, 9, 35, 25, 19, 12, 14, 24, 13, 27, 28, 16, 22, 7, 16, 13, 9, 11, 27,
+    25, 26, 19, 23, 31, 26, 42, 38, 34, 13, 21, 25, 28, 22, 35, 19, 14, 35, 20, 12,
+    26, 20, 29, 10, 18, 22, 27, 8, 13, 15, 16, 16, 13, 12, 22, 11, 18, 17, 31, 37,
+    21, 34, 19, 16, 31, 18, 29, 15, 25, 18, 16, 20, 22, 11, 24, 20, 11, 15, 25, 19,
+    10, 23, 8, 13, 19, 13, 19, 12, 34, 20,
+]
+
+
+def _budget_for(chunk: int, m: int) -> int:
+    """A _DRAW_BYTES value that makes mc_connectivity draw `chunk` samples at a time."""
+    return chunk * 8 * 4 * -(-m // 4)
+
+
+def _pair_counts(est) -> list[int]:
+    counts = est.q_hat[np.triu_indices(len(est.q_hat), 1)] * est.samples
+    return np.rint(counts).astype(int).tolist()
 
 
 class TestMcConnectivity:
@@ -43,11 +68,34 @@ class TestMcConnectivity:
         assert np.array_equal(a.q_hat, b.q_hat)
         assert np.array_equal(a.std_err, b.std_err)
 
-    def test_chunking_never_changes_the_estimate(self):
-        base = mc_connectivity(TRIANGLE, samples=30_000, seed=9)
-        for chunk in (1, 7, 999, 30_000, 1 << 20):
-            est = mc_connectivity(TRIANGLE, samples=30_000, seed=9, chunk_size=chunk)
-            assert np.array_equal(est.q_hat, base.q_hat)
+    def test_chunking_never_changes_the_estimate(self, monkeypatch):
+        # the fixture graphs include wide-70, whose packed states span two words
+        runs = [(TRIANGLE, 30_000, 9)] + [
+            (build_graph(c["n"], c["edges"]), c["samples"], c["seed"]) for c in PINNED["cases"]
+        ]
+        default = montecarlo._DRAW_BYTES
+        for g, samples, seed in runs:
+            monkeypatch.setattr(montecarlo, "_DRAW_BYTES", default)
+            base = mc_connectivity(g, samples, seed)
+            for chunk in (1, 7, 333, 999, 1 << 20):
+                monkeypatch.setattr(montecarlo, "_DRAW_BYTES", _budget_for(chunk, g.m))
+                est = mc_connectivity(g, samples, seed)
+                assert np.array_equal(est.q_hat, base.q_hat), (g.m, chunk)
+
+    def test_default_budget_draws_65536_narrow_samples_per_chunk(self):
+        for m in (13, 16):
+            assert montecarlo._DRAW_BYTES // _budget_for(1, m) == 1 << 16
+
+    def test_peak_memory_follows_the_draw_budget_not_the_sample_count(self):
+        # 20000 samples x 90 edges of float64 draws alone would take 13.7 MiB
+        g = build_graph(20, [(i, j, 0.3) for i, j in itertools.combinations(range(20), 2)][:90])
+        tracemalloc.start()
+        try:
+            mc_connectivity(g, samples=20_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= montecarlo._DRAW_BYTES + (4 << 20), peak
 
     def test_different_seeds_differ(self):
         a = mc_connectivity(TRIANGLE, samples=10_000, seed=0)
@@ -79,17 +127,40 @@ class TestMcConnectivity:
 
     @pytest.mark.parametrize("case", PINNED["cases"], ids=lambda c: c["name"])
     def test_matches_pinned_counts_of_earlier_paths(self, case):
-        # bit-for-bit against the counts of the former table (m <= 20) and
-        # closure (m > 20) paths; the draws are unchanged, the counts integers
+        # the fixture pins the counts of the former table (m <= 20) and closure
+        # (m > 20) paths on the SplitMix64 draws of earlier versions; the same
+        # draws through today's dedup and kernel give the same integers
         g = build_graph(case["n"], case["edges"])
+        eu, ev, probs = (np.array(column) for column in zip(*g.edges))
         samples = case["samples"]
-        upper = np.triu_indices(g.n, k=1)
-        expected = np.eye(g.n)
-        expected[upper] = np.array(case["counts"]) / samples
-        expected.T[upper] = expected[upper]
-        for chunk in (1, 7, 333, 1 << 16):
-            est = mc_connectivity(g, samples, case["seed"], chunk_size=chunk)
-            assert np.array_equal(est.q_hat, expected), chunk
+        on = splitmix64_uniforms(case["seed"], 0, samples, g.m) < probs
+        for chunk in (1, 7, 333, samples):
+            counts = np.zeros(g.n * (g.n - 1) // 2, dtype=np.int64)
+            for lo in range(0, samples, chunk):
+                states, weights = montecarlo._distinct_states(on[lo : lo + chunk])
+                counts += _state_pair_sums(g.n, eu, ev, states, weights)
+            assert counts.tolist() == case["counts"], chunk
+
+
+class TestPhiloxStream:
+    @pytest.mark.parametrize("m", [3, 16, 70])
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2**64 + 5, 2**130 + 3])
+    def test_chunks_read_one_long_philox_stream(self, m, seed):
+        w = -(-m // 4)
+        raw = np.random.Philox(key=seed % 2**128).random_raw((40, 4 * w))
+        expected = (raw[:, :m] >> np.uint64(11)) * 2.0**-53
+        for lo, hi in ((0, 40), (0, 1), (13, 14), (5, 29), (39, 40)):
+            got = montecarlo._edge_uniforms(seed, lo, hi, m)
+            assert np.array_equal(got, expected[lo:hi]), (lo, hi)
+
+    def test_pinned_counts(self):
+        # golden counts of the Philox draws: any change to the stream, its
+        # position mapping or the comparison with p shows up here
+        cases = {c["name"]: build_graph(c["n"], c["edges"]) for c in PINNED["cases"]}
+        narrow, wide = cases["narrow"], cases["wide-70"]
+        assert _pair_counts(mc_connectivity(TRIANGLE, 1000, 9)) == PHILOX_TRIANGLE
+        assert _pair_counts(mc_connectivity(narrow, 600, 6)) == PHILOX_NARROW
+        assert _pair_counts(mc_connectivity(wide, 200, 5)) == PHILOX_WIDE_70
 
 
 class TestCiHalfwidth:

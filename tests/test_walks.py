@@ -55,6 +55,17 @@ def test_otimes_rejects_dimension_mismatch():
         otimes(WalkMatrix(np.zeros((2, 2))), WalkMatrix(np.zeros((3, 3))))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5, 1.5])
+@pytest.mark.parametrize("entry_point", ["walk_probabilities", "otimes"])
+def test_entries_outside_unit_interval_rejected(bad, entry_point):
+    m = WalkMatrix(np.array([[0.0, bad], [bad, 0.0]]))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        if entry_point == "otimes":
+            otimes(m, m)
+        else:
+            walk_probabilities(m, 2)
+
+
 def test_walk_length_one_returns_input():
     g = build_graph(3, [(0, 1, 0.5), (1, 2, 0.4)])
     w = walk_matrix(g)

@@ -11,14 +11,16 @@ Subcommands:
     rank      link-improvement ranking (--include-absent for candidate links)
 
 All subcommands read a graph file via --input and print one JSON document
-to stdout; diagnostics go to stderr.  Exit codes: 0 success, 2 bad input
-or usage, 3 enumeration limit exceeded (switch to `mc`).
+to stdout; diagnostics go to stderr.  Exit codes: 0 success, 1 stdout
+closed before the document was written, 2 bad input or usage, 3
+enumeration limit exceeded (switch to `mc`).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import __version__
@@ -99,18 +101,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _base_document(command: str, g: ProbGraph) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "command": command,
-        "n": g.n,
-        "m": g.m,
-    }
+def _tolerance(args, default: float) -> float:
+    return default if args.tolerance is None else args.tolerance
 
 
-def _spectrum_fields(q, partition, tolerance: float, include_eigvec: bool = False) -> dict:
-    report = spectral_report(q, partition, tolerance)
+def _q_section(g: ProbGraph, q, est, args) -> dict:
+    return {"q": q.tolist()}
+
+
+def _spectrum_section(g: ProbGraph, q, est, args) -> dict:
+    partition = support_components(g)
+    report = spectral_report(q, partition, _tolerance(args, _DEFAULT_CRITICAL_TOL))
     fields = {
         "components": [
             {"vertices": block, "lambda_max": lam}
@@ -122,42 +123,53 @@ def _spectrum_fields(q, partition, tolerance: float, include_eigvec: bool = Fals
         "psd": report.psd,
         "definite": report.definite,
     }
-    if include_eigvec:
+    if args.command == "spectrum":
         fields["principal_eigenvector"] = report.principal_eigvec.tolist()
     return fields
 
 
-def _bounds_fields(g: ProbGraph, q, tolerance: float) -> dict:
-    report = compute_bounds(adjacency_matrix(g), q, tolerance)
+def _bounds_section(g: ProbGraph, q, est, args) -> dict:
+    report = compute_bounds(adjacency_matrix(g), q, _tolerance(args, _DEFAULT_BOUNDS_TOL))
     return {
-        "lower": report.lower.tolist(),
-        "upper": report.upper.tolist(),
-        "tolerance": report.tolerance,
-        "violations": [
-            {"i": v.i, "j": v.j, "kind": v.kind, "magnitude": v.magnitude}
-            for v in report.violations
-        ],
-        "unconstrained_pairs": [list(p) for p in report.unconstrained_pairs],
+        "bounds": {
+            "lower": report.lower.tolist(),
+            "upper": report.upper.tolist(),
+            "tolerance": report.tolerance,
+            "violations": [v._asdict() for v in report.violations],
+            "unconstrained_pairs": report.unconstrained_pairs,
+        }
     }
 
 
-def _critical_fields(q, tolerance: float) -> list[dict]:
-    findings = find_critical_vertices(q, tolerance)
-    out = []
-    for f in findings:
-        out.append(
-            {
-                "k": f.k,
-                "witnesses": [list(w) for w in f.witnesses],
-                "partition": None
-                if f.partition_hint is None
-                else {"v1": f.partition_hint[0], "v3": f.partition_hint[1]},
-                "warnings": [
-                    {"l": l, "m": m, "error": err} for l, m, err in f.warnings
-                ],
-            }
-        )
-    return out
+def _critical_section(g: ProbGraph, q, est, args) -> dict:
+    tolerance = _tolerance(args, _DEFAULT_CRITICAL_TOL)
+    findings = [
+        {
+            "k": f.k,
+            "witnesses": f.witnesses,
+            "partition": None
+            if f.partition_hint is None
+            else {"v1": f.partition_hint[0], "v3": f.partition_hint[1]},
+            "warnings": [{"l": l, "m": m, "error": err} for l, m, err in f.warnings],
+        }
+        for f in find_critical_vertices(q, tolerance)
+    ]
+    return {"critical_tolerance": tolerance, "critical_vertices": findings}
+
+
+def _mc_section(g: ProbGraph, q, est, args) -> dict:
+    return {"mc": {"samples": est.samples, "seed": est.seed, "std_err": est.std_err.tolist()}}
+
+
+# The document sections of each subcommand that analyzes a connectivity
+# matrix, in output order; `mc` estimates the matrix, the others compute it.
+_SECTIONS = {
+    "compute": (_q_section, _spectrum_section, _bounds_section, _critical_section),
+    "mc": (_q_section, _spectrum_section, _mc_section),
+    "bounds": (_q_section, _bounds_section),
+    "spectrum": (_spectrum_section,),
+    "critical": (_critical_section,),
+}
 
 
 def run_command(argv: list[str]) -> int:
@@ -170,7 +182,8 @@ def run_command(argv: list[str]) -> int:
         return code if isinstance(code, int) else 2
 
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
+        # utf-8-sig: a leading byte-order mark is dropped, not read as text
+        with open(args.input, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"probconn: cannot read {args.input}: {exc}", file=sys.stderr)
@@ -182,67 +195,33 @@ def run_command(argv: list[str]) -> int:
         print(f"probconn: {args.input}: {exc}", file=sys.stderr)
         return 2
 
-    doc = _base_document(args.command, g)
-    bounds_tol = _DEFAULT_BOUNDS_TOL if args.tolerance is None else args.tolerance
-    critical_tol = _DEFAULT_CRITICAL_TOL if args.tolerance is None else args.tolerance
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "tool_version": __version__,
+        "command": args.command,
+        "n": g.n,
+        "m": g.m,
+    }
     try:
-        if args.command == "compute":
-            q = exact_connectivity(g, args.max_edges)
-            doc["engine"] = "exact"
-            doc["q"] = q.tolist()
-            doc.update(_spectrum_fields(q, support_components(g), critical_tol))
-            doc["bounds"] = _bounds_fields(g, q, bounds_tol)
-            doc["critical_tolerance"] = critical_tol
-            doc["critical_vertices"] = _critical_fields(q, critical_tol)
-        elif args.command == "mc":
-            est = mc_connectivity(g, args.samples, args.seed)
-            doc["engine"] = "mc"
-            doc["q"] = est.q_hat.tolist()
-            doc.update(_spectrum_fields(est.q_hat, support_components(g), critical_tol))
-            doc["mc"] = {
-                "samples": est.samples,
-                "seed": est.seed,
-                "std_err": est.std_err.tolist(),
-            }
-        elif args.command == "bounds":
-            q = exact_connectivity(g, args.max_edges)
-            doc["engine"] = "exact"
-            doc["q"] = q.tolist()
-            doc["bounds"] = _bounds_fields(g, q, bounds_tol)
-        elif args.command == "spectrum":
-            q = exact_connectivity(g, args.max_edges)
-            doc["engine"] = "exact"
-            doc.update(_spectrum_fields(q, support_components(g), critical_tol, True))
-        elif args.command == "critical":
-            q = exact_connectivity(g, args.max_edges)
-            doc["engine"] = "exact"
-            doc["critical_tolerance"] = critical_tol
-            doc["critical_vertices"] = _critical_fields(q, critical_tol)
+        if args.command in _SECTIONS:
+            est = None
+            if args.command == "mc":
+                est = mc_connectivity(g, args.samples, args.seed)
+                doc["engine"], q = "mc", est.q_hat
+            else:
+                doc["engine"], q = "exact", exact_connectivity(g, args.max_edges)
+            for section in _SECTIONS[args.command]:
+                doc.update(section(g, q, est, args))
         elif args.command == "walk":
             walked = walk_probabilities(walk_matrix(g), args.z)
             doc["z"] = walked.z
             doc["walk"] = walked.entries.tolist()
-        elif args.command == "rank":
+        else:  # rank
             ranking = rank_improvements(g, args.include_absent, args.max_edges)
             doc["engine"] = "exact"
             doc["lambda_max"] = ranking.lambda_max
-            doc["include_absent"] = bool(args.include_absent)
-            doc["ranking"] = [
-                {
-                    "edge_index": e.edge_index,
-                    "i": e.i,
-                    "j": e.j,
-                    "probability": e.probability,
-                    "dlambda": e.dlambda,
-                    "derivative_method": e.derivative_method,
-                    "headroom": e.headroom,
-                    "projected_gain": e.projected_gain,
-                }
-                for e in ranking.entries
-            ]
-        else:  # pragma: no cover - argparse restricts the choices
-            print(f"probconn: unknown command {args.command}", file=sys.stderr)
-            return 2
+            doc["include_absent"] = args.include_absent
+            doc["ranking"] = [vars(e) for e in ranking.entries]
     except EdgeLimitExceeded as exc:
         print(
             f"probconn: {exc}\nprobconn: try the `mc` subcommand for graphs "
@@ -256,7 +235,15 @@ def run_command(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the
+        # interpreter's flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -8,8 +8,9 @@ Graph files are plain text:
     e 1 2 0.8
 
 Exactly one header line ``n <count>`` must precede the ``e <i> <j> <p>``
-edge lines; vertex indices are 0-based.  Blank lines are ignored.  Parse
-errors carry the offending line number.
+edge lines; vertex indices are 0-based.  Blank lines are ignored.  Counts,
+endpoints and probabilities are ASCII tokens without ``_`` separators.
+Parse errors carry the offending line number.
 
 JSON documents are emitted by the standard library encoder in the key order
 the document was built in.  Floats are written in Python's shortest
@@ -42,6 +43,14 @@ class GraphFileError(ValueError):
         super().__init__(f"{where}{message}")
 
 
+def _number(kind, token: str):
+    """int or float of `token`, refusing the `_` separators and non-ASCII
+    digits that Python's own conversions accept."""
+    if "_" in token or not token.isascii():
+        raise ValueError(f"not an ASCII number: {token!r}")
+    return kind(token)
+
+
 def parse_graph_file(text: str) -> ProbGraph:
     """Parse the text form of a graph into a validated ProbGraph."""
     n: int | None = None
@@ -59,7 +68,7 @@ def parse_graph_file(text: str) -> ProbGraph:
             if len(fields) != 2:
                 raise GraphFileError("header must be 'n <count>'", lineno)
             try:
-                n = int(fields[1])
+                n = _number(int, fields[1])
             except ValueError:
                 raise GraphFileError(f"vertex count {fields[1]!r} is not an integer", lineno)
             try:
@@ -72,11 +81,11 @@ def parse_graph_file(text: str) -> ProbGraph:
             if len(fields) != 4:
                 raise GraphFileError("edge line must be 'e <i> <j> <p>'", lineno)
             try:
-                i, j = int(fields[1]), int(fields[2])
+                i, j = _number(int, fields[1]), _number(int, fields[2])
             except ValueError:
                 raise GraphFileError("edge endpoints must be integers", lineno)
             try:
-                p = float(fields[3])
+                p = _number(float, fields[3])
             except ValueError:
                 raise GraphFileError(f"probability {fields[3]!r} is not a number", lineno)
             try:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from probconn import (
     walk_matrix,
     walk_probabilities,
 )
+import probconn.cli as cli
 from probconn.cli import run_command
 from graphgen import random_graph
 
@@ -56,6 +61,26 @@ class TestParseGraphFile:
     def test_unknown_directive(self):
         with pytest.raises(GraphFileError, match="line 2: unknown"):
             parse_graph_file("n 2\nx 0 1")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("n 1_0", 1),  # int() reads 10
+            ("n ３", 1),  # full-width three
+            ("n 3\ne 0_1 2 0.5", 2),  # int() reads 1
+            ("n 2\ne ０ 1 0.5", 2),  # full-width zero
+            ("n 2\ne 0 1 0.5_0", 2),  # float() reads 0.5
+            ("n 2\ne 0 1 ٠.٥", 2),  # Arabic-Indic 0.5
+            ("n 2\n\ne 0 1 1_0e-1", 3),
+        ],
+        ids=["count-underscore", "count-fullwidth", "endpoint-underscore",
+             "endpoint-fullwidth", "probability-underscore", "probability-arabic-indic",
+             "exponent-underscore"],
+    )
+    def test_underscore_and_non_ascii_numbers_rejected(self, text, line):
+        with pytest.raises(GraphFileError, match=f"line {line}:") as exc:
+            parse_graph_file(text)
+        assert exc.value.line == line
 
     def test_round_trip_is_identity(self):
         rng = np.random.default_rng(59)
@@ -227,6 +252,79 @@ class TestRunCommand:
         assert code == 2
         assert out == ""
         assert "cannot read" in err
+
+    def test_byte_order_mark_is_skipped(self, capsys, triangle_file, tmp_path):
+        marked = tmp_path / "bom.pg"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(triangle_file).read_bytes())
+        expected = _run(capsys, ["compute", "--input", triangle_file])
+        assert _run(capsys, ["compute", "--input", str(marked)]) == expected
+        assert expected[0] == 0
+
+    def test_closed_stdout_exits_1_without_traceback(self, tmp_path):
+        # n 200 gives a 200 x 200 walk matrix, about 160 KB of JSON: far
+        # more than a 64 KiB pipe buffer, so the write fails after the close
+        path = tmp_path / "wide.pg"
+        path.write_text("n 200\n")
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "probconn.cli", "walk", "--z", "1", "--input", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert len(proc.stdout.read(16)) == 16
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+
+    def test_document_layout(self, capsys, triangle_file, path4_file, monkeypatch):
+        head = ["schema_version", "tool_version", "command", "n", "m"]
+        spectrum = ["components", "eigenvalues", "lambda_max", "lambda_max_normalized",
+                    "psd", "definite"]
+        layouts = {
+            ("compute",): ["engine", "q", *spectrum, "bounds", "critical_tolerance",
+                           "critical_vertices"],
+            ("mc", "--samples", "100"): ["engine", "q", *spectrum, "mc"],
+            ("bounds",): ["engine", "q", "bounds"],
+            ("spectrum",): ["engine", *spectrum, "principal_eigenvector"],
+            ("critical",): ["engine", "critical_tolerance", "critical_vertices"],
+            ("walk", "--z", "2"): ["z", "walk"],
+            ("rank",): ["engine", "lambda_max", "include_absent", "ranking"],
+        }
+        docs = {}
+        for argv, keys in layouts.items():
+            code, out, _ = _run(capsys, [*argv, "--input", path4_file])
+            assert code == 0
+            docs[argv[0]] = doc = json.loads(out)
+            assert list(doc) == head + keys, argv[0]
+        assert list(docs["compute"]["components"][0]) == ["vertices", "lambda_max"]
+        assert list(docs["compute"]["bounds"]) == [
+            "lower", "upper", "tolerance", "violations", "unconstrained_pairs"
+        ]
+        assert list(docs["mc"]["mc"]) == ["samples", "seed", "std_err"]
+        assert list(docs["rank"]["ranking"][0]) == [
+            "edge_index", "i", "j", "probability", "dlambda", "derivative_method",
+            "headroom", "projected_gain",
+        ]
+        # exact matrices never violate the bounds or warn: lower q_03 of the
+        # path 0-1-2-3 below its relay bound 0.729 to get both records
+        q = exact_connectivity(parse_graph_file(Path(path4_file).read_text()))
+        q[0, 3] = q[3, 0] = 0.7
+        monkeypatch.setattr(cli, "exact_connectivity", lambda g, max_edges: q.copy())
+        _, out, _ = _run(capsys, ["compute", "--input", path4_file])
+        doc = json.loads(out)
+        violation = doc["bounds"]["violations"][0]
+        assert list(violation) == ["i", "j", "kind", "magnitude"]
+        assert violation["i"] == 0 and violation["j"] == 3 and violation["kind"] == "lower"
+        finding = doc["critical_vertices"][0]
+        assert list(finding) == ["k", "witnesses", "partition", "warnings"]
+        assert finding["witnesses"] == [[0, 2]]
+        assert finding["partition"] == {"v1": [0], "v3": [2, 3]}
+        assert finding["warnings"] == [{"l": 0, "m": 3, "error": pytest.approx(0.029)}]
+        assert list(finding["partition"]) == ["v1", "v3"]
+        assert list(finding["warnings"][0]) == ["l", "m", "error"]
 
     def test_pretty_flag_changes_layout_not_content(self, capsys, triangle_file):
         _, flat, _ = _run(capsys, ["compute", "--input", triangle_file])

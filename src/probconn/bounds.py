@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .graph import _blocks
+from .graph import _search
 from .spectral import _check_tolerance, _square_symmetric
 from .walks import _relay_miss
 
@@ -142,7 +142,7 @@ def find_critical_vertices(
         if not witnesses:
             continue
         i0, j0 = witnesses[0]
-        v1 = next(b for b in _blocks(n, _pairs(usable & (gap > tolerance))) if i0 in b)
+        v1 = next(b for b in _search(n, _pairs(usable & (gap > tolerance)))[0] if i0 in b)
         partition_hint = None
         warnings: list[tuple[int, int, float]] = []
         if j0 not in v1:

@@ -113,24 +113,17 @@ def exact_connectivity(g: ProbGraph, max_edges: int = DEFAULT_MAX_EDGES) -> np.n
     and assembles the block-diagonal result; entries between different
     components are exactly 0.
 
-    Raises EdgeLimitExceeded when some component holds more than
-    `max_edges` edges; the Monte Carlo engine is the fallback there.
+    Links with p = 0 are left out of the enumeration.  Raises
+    EdgeLimitExceeded when some component holds more than `max_edges`
+    links with p > 0; the Monte Carlo engine is the fallback there.
     """
     blocks = support_components(g)
-    position: dict[int, tuple[int, int]] = {}
-    for b, verts in enumerate(blocks):
-        for local, v in enumerate(verts):
-            position[v] = (b, local)
-
+    position = {v: (b, local) for b, verts in enumerate(blocks) for local, v in enumerate(verts)}
     comp_edges: list[list[tuple[int, int, float]]] = [[] for _ in blocks]
     for i, j, p in g.edges:
-        bi, li = position[i]
-        bj, lj = position[j]
-        if bi != bj:
-            # endpoints in different support blocks force p == 0; the states
-            # where such an edge is active carry zero weight
-            continue
-        comp_edges[bi].append((li, lj, p))
+        if p > 0.0:  # a link that never comes up joins nothing; keeping it doubles the states
+            b, li = position[i]
+            comp_edges[b].append((li, position[j][1], p))
 
     for verts, edges in zip(blocks, comp_edges):
         if len(edges) > max_edges:

@@ -8,9 +8,10 @@ Graph files are plain text:
     e 1 2 0.8
 
 Exactly one header line ``n <count>`` must precede the ``e <i> <j> <p>``
-edge lines; vertex indices are 0-based.  Blank lines are ignored.  Counts,
-endpoints and probabilities are ASCII tokens without ``_`` separators.
-Parse errors carry the offending line number.
+edge lines; vertex indices are 0-based.  Lines end at LF, CRLF or CR, the
+newlines that text-mode ``open()`` translates.  Blank lines are ignored.
+Counts, endpoints and probabilities are ASCII tokens without ``_``
+separators.  Parse errors carry the offending line number.
 
 JSON documents are emitted by the standard library encoder in the key order
 the document was built in.  Floats are written in Python's shortest
@@ -56,7 +57,9 @@ def parse_graph_file(text: str) -> ProbGraph:
     n: int | None = None
     edges: list[tuple[int, int, float]] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # not str.splitlines(): it also breaks at form feeds, NEL and U+2028
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

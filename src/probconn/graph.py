@@ -3,7 +3,9 @@
 A graph is a vertex count plus a list of possible undirected edges, each
 carrying an independent existence probability.  The *support graph* is the
 subgraph of edges with strictly positive probability; it determines which
-vertex pairs can ever be connected.
+vertex pairs can ever be connected.  Its components and cut vertices come
+from one depth-first search, which also groups the nonzero patterns of
+matrices for the spectral and bounds modules.
 """
 
 from __future__ import annotations
@@ -131,33 +133,6 @@ def adjacency_matrix(g: ProbGraph) -> np.ndarray:
     return a
 
 
-def _blocks(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Vertex blocks joined by `pairs`, each ascending, ordered by smallest vertex.
-
-    Union-find in which the smaller root wins, so every root is the smallest
-    vertex of its block and blocks first appear in smallest-vertex order.
-    """
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            if ru < rv:
-                parent[rv] = ru
-            else:
-                parent[ru] = rv
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return list(groups.values())
-
-
 # Working memory per slice of states in _state_pair_sums: about 12 bytes per
 # vertex pair and state, so 1 MiB holds ~1.8k states at n = 10 (45 pairs).
 _SLICE_BYTES = 1 << 20
@@ -207,63 +182,70 @@ def _pair_matrix(n: int, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _search(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[list[int]], list[int]]:
+    """Connected components and cut vertices of the graph on 0..n-1 with edges `pairs`.
+
+    One iterative depth-first search with low-links (Hopcroft and Tarjan,
+    1973), so deep paths cannot hit the recursion limit.  A non-root vertex
+    u is a cut vertex when a tree child v has low[v] >= disc[u], a root
+    when it has two tree children.  Roots are taken in ascending order and
+    each DFS tree is sorted, so components come out ascending and ordered
+    by smallest vertex; cut vertices come out ascending.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    disc = [-1] * n  # discovery index within the vertex's DFS tree
+    low = [0] * n
+    is_cut = [False] * n
+    components: list[list[int]] = []
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        if not adj[root]:
+            components.append([root])
+            continue
+        disc[root] = low[root] = 0
+        tree = [root]
+        root_children = 0
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            v, neighbours = stack[-1]
+            # w may be v's parent u: low[v] drops no lower than disc[u], which no test sees
+            for w in neighbours:
+                if disc[w] < 0:
+                    disc[w] = low[w] = len(tree)
+                    tree.append(w)
+                    stack.append((w, iter(adj[w])))
+                    break
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    elif u == root:
+                        root_children += 1
+                    elif low[v] >= disc[u]:
+                        is_cut[u] = True
+        is_cut[root] = root_children > 1
+        tree.sort()
+        components.append(tree)
+    return components, [v for v in range(n) if is_cut[v]]
+
+
 def support_components(g: ProbGraph) -> list[list[int]]:
     """Vertex blocks mutually reachable through positive-probability edges.
 
     Zero-probability edges never connect anything.  Blocks are sorted
     ascending internally and ordered by their smallest vertex.
     """
-    return _blocks(g.n, ((i, j) for i, j, p in g.edges if p > 0.0))
+    return _search(g.n, ((i, j) for i, j, p in g.edges if p > 0.0))[0]
 
 
 def articulation_points(g: ProbGraph) -> list[int]:
-    """Vertices whose removal disconnects a support component.
-
-    Standard DFS low-link computation on the support graph, iterative so
-    deep paths cannot hit the recursion limit.
-    """
-    n = g.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j, p in g.edges:
-        if p > 0.0:
-            adj[i].append(j)
-            adj[j].append(i)
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    is_cut = [False] * n
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        stack: list[tuple[int, Iterable[int]]] = [(root, iter(adj[root]))]
-        while stack:
-            v, it = stack[-1]
-            w = next(it, None)  # type: ignore[arg-type]
-            if w is None:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                    if u != root and low[v] >= disc[u]:
-                        is_cut[u] = True
-                continue
-            if w == parent[v]:
-                continue
-            if disc[w] != -1:
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-            else:
-                parent[w] = v
-                disc[w] = low[w] = timer
-                timer += 1
-                if v == root:
-                    root_children += 1
-                stack.append((w, iter(adj[w])))
-        if root_children > 1:
-            is_cut[root] = True
-    return [v for v in range(n) if is_cut[v]]
+    """Vertices whose removal disconnects a support component, ascending."""
+    return _search(g.n, ((i, j) for i, j, p in g.edges if p > 0.0))[1]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _blocks
+from .graph import _search
 
 __all__ = [
     "CornerCertificate",
@@ -88,7 +88,7 @@ def _check_tolerance(tolerance: float) -> None:
 def _pattern_blocks(linked: np.ndarray) -> list[list[int]]:
     """Vertex blocks chained together by the True off-diagonal entries."""
     i, j = np.nonzero(np.triu(linked, 1))
-    return _blocks(linked.shape[0], zip(i.tolist(), j.tolist()))
+    return _search(linked.shape[0], zip(i.tolist(), j.tolist()))[0]
 
 
 def sym_eig(matrix) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,8 @@
 """Independent reference computations for the tests.
 
 These deliberately avoid the package's code paths: reachability is done by
-breadth-first search instead of union-find or batched label relabelling,
+breadth-first search instead of a low-link depth-first search or batched
+label relabelling, cut vertices by deleting each vertex in turn,
 accumulation uses math.fsum instead of numpy sums, eigenvalues come
 from cyclic Jacobi rotations instead of LAPACK, and relay bounds and
 critical vertices come from plain loops instead of per-relay outer products.
@@ -134,6 +135,30 @@ def pair_indicators(n, active_edges) -> list[int]:
         adj[j].append(i)
     labels = _bfs_labels(n, adj)
     return [int(labels[i] == labels[j]) for i in range(n) for j in range(i + 1, n)]
+
+
+def components_and_cut_vertices(n, pairs):
+    """Components and cut vertices of the graph on 0..n-1 with edges `pairs`, by BFS.
+
+    Components are ascending and ordered by smallest vertex.  A vertex is a
+    cut vertex when deleting it leaves the other vertices in more components
+    than the whole graph had.
+    """
+
+    def labels_without(gone):
+        adj = [[] for _ in range(n)]
+        for i, j in pairs:
+            if gone not in (i, j):
+                adj[i].append(j)
+                adj[j].append(i)
+        return _bfs_labels(n, adj)
+
+    labels = labels_without(None)
+    components: dict[int, list[int]] = {}
+    for v in range(n):
+        components.setdefault(labels[v], []).append(v)
+    cuts = [v for v in range(n) if len(set(labels_without(v))) - 1 > len(components)]
+    return list(components.values()), cuts
 
 
 def relay_bounds(a, q):

@@ -82,6 +82,20 @@ class TestParseGraphFile:
             parse_graph_file(text)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize(
+        "char",
+        ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+        ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"],
+    )
+    def test_only_lf_crlf_and_cr_end_a_line(self, char):
+        # str.splitlines() also breaks at these; inside a line they are whitespace
+        for newline in ("\n", "\r\n", "\r"):
+            text = f"n 3{newline}# retired link{char}e 0 1 0.5{newline}e 1 2 0.5{newline}"
+            assert parse_graph_file(text).edges == ((1, 2, 0.5),)
+            with pytest.raises(GraphFileError, match="line 2:") as exc:
+                parse_graph_file(f"n 3{newline}e 0 1 0.5{char}e 1 2 x{newline}")
+            assert exc.value.line == 2
+
     def test_round_trip_is_identity(self):
         rng = np.random.default_rng(59)
         for _ in range(10):

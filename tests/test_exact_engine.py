@@ -10,6 +10,7 @@ from probconn import (
     conditional_connectivity,
     exact_connectivity,
     state_probability,
+    support_components,
     with_edge_probability,
 )
 from probconn import exact as exact_module
@@ -169,6 +170,11 @@ class TestExactInvariants:
                 continue
             i, j = free[int(rng.integers(0, len(free)))]
             padded = add_edge(g, i, j, 0.0)
-            np.testing.assert_allclose(
-                exact_connectivity(padded), exact_connectivity(g), atol=1e-12
+            # the p = 0 link counts toward no component's limit
+            live = max(
+                sum(u in block and v in block for u, v, p in g.edges if p > 0.0)
+                for block in map(set, support_components(g))
+            )
+            np.testing.assert_array_equal(
+                exact_connectivity(padded, max_edges=live), exact_connectivity(g)
             )

@@ -10,12 +10,16 @@ from hypothesis import strategies as st
 
 from probconn import (
     affine_slice,
+    articulation_points,
     build_graph,
     exact_connectivity,
     format_graph_file,
     parse_graph_file,
+    support_components,
 )
-from oracles import connectivity_by_enumeration
+from probconn.graph import _search
+from probconn.spectral import _pattern_blocks
+from oracles import components_and_cut_vertices, connectivity_by_enumeration
 
 # exact 0 and 1 (links that never or always come up) and the extreme
 # doubles next to them, besides any probability in between
@@ -70,3 +74,25 @@ def test_affine_slice_passes_through_the_matrix(data):
 @example(EXTREMES)
 def test_graph_file_round_trips(g):
     assert parse_graph_file(format_graph_file(g)) == g
+
+
+# triangles 1-2-3 and 3-4-5 joined at cut vertex 3, a pendant link 5-6
+# (cut vertex 5), a p = 0 link from 1 to the pair 7-8, isolated 0 and 9
+SUPPORT = build_graph(10, [(1, 2, 0.5), (1, 3, 0.5), (2, 3, 0.5), (3, 4, 0.9), (4, 5, 0.2),
+                           (3, 5, 0.7), (5, 6, 0.4), (1, 7, 0.0), (7, 8, 1.0)])
+
+
+@_settings(200)
+@given(graphs(max_n=12, max_m=20))
+@example(SUPPORT)
+def test_search_matches_bfs_oracle(g):
+    live = [(i, j) for i, j, p in g.edges if p > 0.0]
+    components, cuts = components_and_cut_vertices(g.n, live)
+    assert support_components(g) == components
+    assert articulation_points(g) == cuts
+    linked = np.zeros((g.n, g.n), dtype=bool)
+    for i, j in live:
+        linked[i, j] = linked[j, i] = True
+    rows, cols = np.nonzero(np.triu(linked, 1))
+    assert _search(g.n, zip(rows.tolist(), cols.tolist())) == (components, cuts)
+    assert _pattern_blocks(linked) == components

@@ -11,7 +11,7 @@ matrices for the spectral and bounds modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -133,9 +133,43 @@ def adjacency_matrix(g: ProbGraph) -> np.ndarray:
     return a
 
 
-# Working memory per slice of states in _state_pair_sums: about 12 bytes per
-# vertex pair and state, so 1 MiB holds ~1.8k states at n = 10 (45 pairs).
+# Working memory per slice of states: about 12 bytes per vertex pair and
+# state in _state_pair_sums, so 1 MiB holds ~1.8k states at n = 10 (45 pairs).
 _SLICE_BYTES = 1 << 20
+
+
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the vertex pairs i < j, in np.triu_indices(n, 1) order."""
+    idx = np.arange(n)
+    return np.nonzero(idx[:, None] < idx)  # np.triu_indices(n, 1), cheaper
+
+
+def _state_labels(
+    n: int, eu: np.ndarray, ev: np.ndarray, active: np.ndarray, state_bytes: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Component labels of edge states, a slice of about _SLICE_BYTES at a time.
+
+    Row s of the (states, m) bool matrix `active` switches edges
+    (eu[k], ev[k]) on or off; `state_bytes` is the caller's working memory
+    per state.  Yields (lo, lab) per slice: lab is the (n, slice) array whose
+    column t labels every vertex of state lo + t with the smallest vertex of
+    its component.
+
+    One pass over the edges finds the labels: an active edge replaces the
+    larger of its endpoints' labels by the smaller one wherever it occurs,
+    which keeps the labels exact after each edge.
+    """
+    start = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
+    step = max(1, _SLICE_BYTES // state_bytes)
+    for lo in range(0, len(active), step):
+        on = np.ascontiguousarray(active[lo : lo + step].T)
+        lab = np.repeat(start, on.shape[1], axis=1)  # (n, slice): vertex-major rows
+        for u, v, on_k in zip(eu, ev, on):
+            lu, lv = lab[u], lab[v]
+            hi = np.maximum(lu, lv)
+            # an inactive edge "merges" hi into itself, which changes nothing
+            np.copyto(lab, np.where(on_k, np.minimum(lu, lv), hi), where=lab == hi)
+        yield lo, lab
 
 
 def _state_pair_sums(
@@ -147,27 +181,15 @@ def _state_pair_sums(
     (eu[k], ev[k]) on or off, and state s carries `weights[s]`: a probability
     for exhaustive enumeration, a sample multiplicity for Monte Carlo.
     Returns one sum per pair in np.triu_indices(n, 1) order, in the dtype of
-    `weights`; integer weights give exact integer sums.
-
-    Every state labels each vertex with the smallest vertex of its component
-    in one pass over the edges: an active edge replaces the larger of its
-    endpoints' labels by the smaller one wherever it occurs, which keeps the
-    labels exact after each edge.  States are processed in slices of about
-    _SLICE_BYTES, so memory stays O(slice * n^2) whatever the batch size.
+    `weights`; integer weights give exact integer sums.  States are labelled
+    by :func:`_state_labels`, so memory stays O(slice * n^2) whatever the
+    batch size.
     """
-    start = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
-    pair_i, pair_j = np.nonzero(start < start.T)  # np.triu_indices(n, 1), cheaper
+    pair_i, pair_j = _upper_pairs(n)
     sums = np.zeros(len(pair_i), dtype=weights.dtype)
-    step = max(1, _SLICE_BYTES // (12 * len(pair_i) + n + active.shape[1]))
-    for lo in range(0, len(weights), step):
-        on = np.ascontiguousarray(active[lo : lo + step].T)
-        w = weights[lo : lo + step]
-        lab = np.repeat(start, len(w), axis=1)  # (n, slice): vertex-major rows
-        for u, v, on_k in zip(eu, ev, on):
-            lu, lv = lab[u], lab[v]
-            hi = np.maximum(lu, lv)
-            # an inactive edge "merges" hi into itself, which changes nothing
-            np.copyto(lab, np.where(on_k, np.minimum(lu, lv), hi), where=lab == hi)
+    state_bytes = 12 * len(pair_i) + n + active.shape[1]
+    for lo, lab in _state_labels(n, eu, ev, active, state_bytes):
+        w = weights[lo : lo + lab.shape[1]]
         # contiguous rows: numpy's pairwise summation, the same on every run
         sums += np.where(lab[pair_i] == lab[pair_j], w, 0).sum(axis=1)
     return sums

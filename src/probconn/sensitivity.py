@@ -1,12 +1,15 @@
 """Per-link sensitivity of the quality metric and improvement ranking.
 
 Every entry of the connectivity matrix is affine in each single link
-probability once the others are held fixed, so two exact evaluations (link
-forced off, link forced on) recover the whole dependence: Q(t) = q0 + t *
-(q1 - q0).  Along that line the largest eigenvalue has derivative
-x' * slope * x at the current point whenever it is simple, with x the unit
-principal eigenvector.  Ranking links by the eigenvalue gain realized at
-t = 1 answers "which link upgrade buys the most quality".
+probability once the others are held fixed, so the matrices with the link
+forced off (q0) and on (q1) recover the whole dependence: Q(t) = q0 + t *
+(q1 - q0).  The slope is Birnbaum's importance measure of the link.  Along
+that line the largest eigenvalue has derivative x' * slope * x at the
+current point whenever it is simple, with x the unit principal eigenvector.
+Ranking links by the eigenvalue gain realized at t = 1 answers "which link
+upgrade buys the most quality".  :func:`affine_slice` evaluates one link
+with two exact evaluations; :func:`rank_improvements` takes every link's
+q0 and q1 from one enumeration per support component.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .exact import DEFAULT_MAX_EDGES, exact_connectivity
-from .graph import ProbGraph, add_edge, with_edge_probability
+from .exact import DEFAULT_MAX_EDGES, _forced_link_slices, exact_connectivity
+# add_edge is not called here, but perfbench/tracing.py patches sensitivity.add_edge by name
+from .graph import ProbGraph, add_edge, with_edge_probability  # noqa: F401
 from .spectral import sym_eig
 
 __all__ = [
@@ -83,16 +87,16 @@ def affine_slice(g: ProbGraph, edge: int, max_edges: int = DEFAULT_MAX_EDGES) ->
 
 
 def _derivative(
-    w: np.ndarray, vecs: np.ndarray, slc: AffineSlice, current: float
+    w: np.ndarray, vecs: np.ndarray, q0: np.ndarray, slope: np.ndarray, current: float
 ) -> tuple[float, str]:
     n = len(w)
     gap = float(w[0] - w[1]) if n > 1 else np.inf
     if gap > _SIMPLE_GAP:
         x = vecs[:, 0]
-        return float(x @ slc.slope @ x), "rayleigh"
+        return float(x @ slope @ x), "rayleigh"
     h = _FD_STEP
-    lam_hi = float(sym_eig(slc.at(current + h))[0][0])
-    lam_lo = float(sym_eig(slc.at(current - h))[0][0])
+    lam_hi = float(sym_eig(q0 + (current + h) * slope)[0][0])
+    lam_lo = float(sym_eig(q0 + (current - h) * slope)[0][0])
     return (lam_hi - lam_lo) / (2.0 * h), "finite_difference"
 
 
@@ -109,7 +113,7 @@ def lambda_derivative(
     q = exact_connectivity(g, max_edges)
     w, vecs = sym_eig(q)
     slc = affine_slice(g, edge, max_edges)
-    value, method = _derivative(w, vecs, slc, g.edges[edge][2])
+    value, method = _derivative(w, vecs, slc.q0, slc.slope, g.edges[edge][2])
     return EdgeDerivative(edge=edge, value=value, method=method)
 
 
@@ -121,30 +125,31 @@ def rank_improvements(
     """Rank link upgrades by the quality gain of pushing each link to 1.
 
     Every existing edge is evaluated; with include_absent=True every
-    missing vertex pair is tried as a candidate new link as well.  Entries
-    are sorted by projected gain, ties broken by the (i, j) pair, so the
-    ranking is deterministic.
+    missing vertex pair is tried as a candidate new link as well.  The
+    matrices with each link forced off and on come from one enumeration per
+    support component; candidate links do not count toward `max_edges`.
+    Entries are sorted by projected gain, ties broken by the (i, j) pair, so
+    the ranking is deterministic.
     """
     q_now = exact_connectivity(g, max_edges)
     w, vecs = sym_eig(q_now)
     lam_now = float(w[0])
 
-    candidates: list[tuple[Optional[int], int, int, float, ProbGraph, int]] = []
-    for idx, (i, j, p) in enumerate(g.edges):
-        candidates.append((idx, i, j, p, g, idx))
+    candidates = [(idx, i, j, p) for idx, (i, j, p) in enumerate(g.edges)]
     if include_absent:
         present = {(i, j) for i, j, _ in g.edges}
-        for i in range(g.n):
-            for j in range(i + 1, g.n):
-                if (i, j) not in present:
-                    grown = add_edge(g, i, j, 0.0)
-                    candidates.append((None, i, j, 0.0, grown, grown.index_of(i, j)))
+        candidates += [
+            (None, i, j, 0.0)
+            for i in range(g.n)
+            for j in range(i + 1, g.n)
+            if (i, j) not in present
+        ]
 
+    pairs = [(i, j) for _, i, j, _ in candidates]
     entries = []
-    for edge_index, i, j, p, host, host_idx in candidates:
-        slc = affine_slice(host, host_idx, max_edges)
-        value, method = _derivative(w, vecs, slc, p)
-        lam_full = float(sym_eig(slc.q1)[0][0])
+    for (edge_index, i, j, p), (q0, q1) in zip(candidates, _forced_link_slices(g, q_now, pairs)):
+        value, method = _derivative(w, vecs, q0, q1 - q0, p)
+        lam_full = float(sym_eig(q1)[0][0])
         entries.append(
             RankedEdge(
                 edge_index=edge_index,

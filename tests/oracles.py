@@ -8,7 +8,9 @@ from cyclic Jacobi rotations instead of LAPACK, and relay bounds and
 critical vertices come from plain loops instead of per-relay outer products.
 The SplitMix64 edge draws that the Monte Carlo count fixture was recorded
 with live here too, so the fixture stays checkable after the engine moved
-to NumPy's Philox stream.
+to NumPy's Philox stream.  So does the link ranking of earlier versions,
+two exact evaluations per candidate link, as the reference of the one-pass
+ranking.
 """
 
 from __future__ import annotations
@@ -213,3 +215,32 @@ def critical_by_loops(q, tol):
                         warnings.append((l, m, float(err)))
         found.append((k, witnesses, hint, warnings))
     return found
+
+
+def rank_per_candidate(g, include_absent=False):
+    """Link ranking with two exact evaluations per candidate link.
+
+    The ranking of earlier versions: `affine_slice` of every link, each
+    absent pair first added as a p = 0 link with `add_edge`, then the
+    derivative and the gain of pushing the link to 1.  Returns the entries as
+    a list of `RankedEdge`, sorted like `rank_improvements`.
+    """
+    from probconn import add_edge, affine_slice, exact_connectivity, sym_eig
+    from probconn.sensitivity import RankedEdge, _derivative
+
+    w, vecs = sym_eig(exact_connectivity(g))
+    candidates = [(idx, i, j, p, g, idx) for idx, (i, j, p) in enumerate(g.edges)]
+    if include_absent:
+        present = {(i, j) for i, j, _ in g.edges}
+        for i, j in itertools.combinations(range(g.n), 2):
+            if (i, j) not in present:
+                grown = add_edge(g, i, j, 0.0)
+                candidates.append((None, i, j, 0.0, grown, grown.index_of(i, j)))
+    entries = []
+    for edge_index, i, j, p, host, host_idx in candidates:
+        slc = affine_slice(host, host_idx)
+        value, method = _derivative(w, vecs, slc.q0, slc.slope, p)
+        gain = float(sym_eig(slc.q1)[0][0]) - float(w[0])
+        entries.append(RankedEdge(edge_index, i, j, p, value, method, 1.0 - p, gain))
+    entries.sort(key=lambda e: (-e.projected_gain, e.i, e.j))
+    return entries

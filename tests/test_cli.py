@@ -371,6 +371,15 @@ class TestRunCommand:
         assert out == ""
         assert "mc" in err
 
+    def test_candidate_links_do_not_count_toward_edge_limit(self, capsys, tmp_path):
+        path = tmp_path / "p3.pg"
+        path.write_text("n 3\ne 0 1 0.9\ne 1 2 0.8\n")
+        code, out, _ = _run(
+            capsys, ["rank", "--input", str(path), "--include-absent", "--max-edges", "2"]
+        )
+        assert code == 0
+        assert len(json.loads(out)["ranking"]) == 3
+
     def test_mc_not_subject_to_edge_limit(self, capsys, triangle_file):
         code, out, _ = _run(
             capsys,

@@ -17,6 +17,7 @@ from probconn import (
     parse_graph_file,
     support_components,
 )
+from probconn.exact import _forced_link_slices
 from probconn.graph import _search
 from probconn.spectral import _pattern_blocks
 from oracles import components_and_cut_vertices, connectivity_by_enumeration
@@ -67,6 +68,27 @@ def test_affine_slice_passes_through_the_matrix(data):
     np.testing.assert_allclose(
         slc.at(g.edges[edge][2]), exact_connectivity(g), rtol=0, atol=1e-12
     )
+
+
+@_settings(40)
+@given(graphs())
+@example(EXTREMES)
+def test_forced_link_slices_match_enumeration_oracle(g):
+    # every vertex pair: a link is set to 0 and to 1, an absent pair stays out or is added at 1
+    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+    slices = _forced_link_slices(g, exact_connectivity(g), pairs)
+    for (i, j), (q0, q1) in zip(pairs, slices):
+        if (i, j) in {e[:2] for e in g.edges}:
+            ref0, ref1 = (
+                connectivity_by_enumeration(g.n, [(u, v, t if (u, v) == (i, j) else p)
+                                                  for u, v, p in g.edges])
+                for t in (0.0, 1.0)
+            )
+        else:
+            ref0 = connectivity_by_enumeration(g.n, g.edges)
+            ref1 = connectivity_by_enumeration(g.n, [*g.edges, (i, j, 1.0)])
+        np.testing.assert_allclose(q0, ref0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(q1, ref1, rtol=0, atol=1e-12)
 
 
 @_settings(100)

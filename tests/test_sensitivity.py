@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,11 @@ from probconn import (
     sym_eig,
     with_edge_probability,
 )
-from graphgen import random_connected_graph
+from probconn import exact as exact_module
+from probconn import graph as graph_module
+from probconn.exact import _forced_link_slices
+from graphgen import random_connected_graph, random_graph
+from oracles import rank_per_candidate
 
 PATH3 = build_graph(3, [(0, 1, 0.9), (1, 2, 0.8)])
 TRIANGLE = build_graph(3, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)])
@@ -151,3 +157,60 @@ class TestRankImprovements:
             g = random_connected_graph(rng, n_hi=5, p_lo=0.1, p_hi=0.9)
             for entry in rank_improvements(g).entries:
                 assert entry.dlambda >= -1e-10
+
+
+def _reference_graphs():
+    """Seeded graphs with p = 0 and p = 1 links, most of them disconnected,
+    plus twin components (a tied top eigenvalue) and a p = 0 bridge."""
+    rng = np.random.default_rng(53)
+    graphs = [
+        build_graph(4, [(0, 1, 0.5), (2, 3, 0.5)]),
+        build_graph(5, [(0, 1, 1.0), (1, 2, 0.6), (2, 3, 0.0), (3, 4, 0.7)]),
+    ]
+    for _ in range(28):
+        g = random_graph(rng, n_hi=7, m_hi=10)
+        graphs.append(
+            build_graph(g.n, [(i, j, float(rng.choice([0.0, 1.0, p], p=[0.2, 0.2, 0.6])))
+                              for i, j, p in g.edges])
+        )
+    return graphs
+
+
+class TestOnePassRanking:
+    """The one-pass ranking against two exact evaluations per candidate."""
+
+    @pytest.mark.parametrize("g", _reference_graphs())
+    def test_matches_per_candidate_reference(self, g):
+        new = rank_improvements(g, include_absent=True).entries
+        old = rank_per_candidate(g, include_absent=True)
+        by_pair = {(e.i, e.j): e for e in old}
+        assert sorted(by_pair) == sorted((e.i, e.j) for e in new)
+        for e in new:
+            ref = by_pair[e.i, e.j]
+            assert (e.edge_index, e.probability, e.headroom, e.derivative_method) == (
+                ref.edge_index, ref.probability, ref.headroom, ref.derivative_method)
+            assert e.projected_gain == pytest.approx(ref.projected_gain, rel=0, abs=1e-13)
+            assert e.dlambda == pytest.approx(ref.dlambda, rel=0, abs=1e-13)
+        # the order may differ only between pairs whose reference gains tie
+        rank_of = {(e.i, e.j): k for k, e in enumerate(old)}
+        for a, first in enumerate(new):
+            for later in new[a + 1:]:
+                if rank_of[first.i, first.j] > rank_of[later.i, later.j]:
+                    gap = by_pair[first.i, first.j].projected_gain - by_pair[later.i, later.j].projected_gain
+                    assert abs(gap) <= 1e-12
+
+    def test_slices_do_not_depend_on_slice_or_chunk_boundaries(self, monkeypatch):
+        graphs = _reference_graphs()
+        runs = []
+        for masks, slice_bytes in [(exact_module._MASKS_PER_CHUNK, graph_module._SLICE_BYTES),
+                                   (7, 200)]:
+            monkeypatch.setattr(exact_module, "_MASKS_PER_CHUNK", masks)
+            monkeypatch.setattr(graph_module, "_SLICE_BYTES", slice_bytes)
+            runs.append([
+                list(_forced_link_slices(g, exact_connectivity(g), list(itertools.combinations(range(g.n), 2))))
+                for g in graphs
+            ])
+        for default, small in zip(*runs):
+            for (q0, q1), (r0, r1) in zip(default, small):
+                np.testing.assert_allclose(r0, q0, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(r1, q1, rtol=0, atol=1e-14)

@@ -172,11 +172,13 @@ _SECTIONS = {
 }
 
 
+_PARSER = build_parser()  # built once, at import: building costs about 20 parses
+
+
 def run_command(argv: list[str]) -> int:
     """Run one CLI invocation; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse reports usage problems itself
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -6,13 +6,14 @@ induces is a plain reachability question on a deterministic graph.  The
 path-probability matrix is the state-probability-weighted sum of the
 per-state connectivity indicators.
 
-States of nonzero probability are expanded from their bitmasks over the
-canonical edge indexing in ascending order, a chunk at a time, and handed
-to the batched edge-state kernel shared with the sampling engine
-(:func:`probconn.graph._state_pair_sums`), which sums the weights per pair
-in a fixed order, so a given build produces bit-identical output run after
-run.  Enumeration runs independently inside each support component;
-entries across components are exactly zero by construction.
+A state is a bitmask whose bit k switches link k on.  The masks of
+nonzero probability go in ascending order, in one batch, to the edge-state
+kernel shared with the sampling engine
+(:func:`probconn.graph._state_pair_sums`), which labels them a slice at a
+time and sums the weights per pair in a fixed order, so a given build
+produces bit-identical output run after run.  Enumeration runs
+independently inside each support component; entries across components
+are exactly zero by construction.
 
 The same enumeration also yields, in one pass per component, every link's
 matrices with that link forced off and on, which link ranking uses
@@ -32,6 +33,7 @@ import numpy as np
 
 from .graph import (
     ProbGraph,
+    _pack_states,
     _pair_matrix,
     _state_labels,
     _state_pair_sums,
@@ -48,11 +50,8 @@ __all__ = [
 ]
 
 # 2^22 states per component is the practical ceiling for exhaustive
-# enumeration (seconds, ~120 MB); past it the Monte Carlo engine takes over.
+# enumeration (seconds, ~110 MB); past it the Monte Carlo engine takes over.
 DEFAULT_MAX_EDGES = 22
-
-# States expanded from bitmasks into one bool matrix at a time.
-_MASKS_PER_CHUNK = 1 << 14
 
 
 class EdgeLimitExceeded(RuntimeError):
@@ -79,9 +78,9 @@ def conditional_connectivity(g: ProbGraph, state: Sequence[int]) -> np.ndarray:
     Entry (i, j) is 1 exactly when i and j fall in the same connected
     component once only the edges flagged 1 are kept.  Diagonal is 1.
     """
-    active = np.array([_check_state(g, state)], dtype=bool)
+    packed = _pack_states(np.array([_check_state(g, state)], dtype=bool))
     ends = np.array([(i, j) for i, j, _ in g.edges], dtype=int).reshape(g.m, 2)
-    return _pair_matrix(g.n, _state_pair_sums(g.n, ends[:, 0], ends[:, 1], active, np.ones(1)))
+    return _pair_matrix(g.n, _state_pair_sums(g.n, ends[:, 0], ends[:, 1], packed, np.ones(1)))
 
 
 def state_probability(g: ProbGraph, state: Sequence[int]) -> float:
@@ -101,23 +100,14 @@ def _state_weights(probs: Sequence[float]) -> np.ndarray:
     return w
 
 
-def _mask_states(masks: np.ndarray, m: int) -> np.ndarray:
-    """(len(masks), m) bool edge states: bit k of a mask switches edge k on."""
-    # the little-endian bytes of a mask, unpacked low bit first: bit k is edge k
-    octets = masks.astype("<u8").view(np.uint8).reshape(-1, 8)
-    return np.unpackbits(octets, axis=1, count=m, bitorder="little").view(bool)
-
-
 def _enumerate_block(nverts: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
     """Exact connectivity matrix of one component by full state enumeration."""
-    m = len(edges)
     eu, ev, probs = (np.array(column) for column in zip(*edges))
     weights = _state_weights(probs)
     masks = np.flatnonzero(weights)  # zero-weight states cannot move any entry
-    sums = np.zeros(nverts * (nverts - 1) // 2)
-    for lo in range(0, len(masks), _MASKS_PER_CHUNK):
-        chunk = masks[lo : lo + _MASKS_PER_CHUNK]
-        sums += _state_pair_sums(nverts, eu, ev, _mask_states(chunk, m), weights[chunk])
+    if len(masks) < len(weights):  # copy only a partial table, never the whole one
+        weights = weights[masks]
+    sums = _state_pair_sums(nverts, eu, ev, masks[:, None], weights)
     return _pair_matrix(nverts, np.minimum(sums, 1.0))  # sums can overshoot 1 by an ulp
 
 
@@ -196,25 +186,22 @@ def _forced_block_sums(
     joins = np.zeros((len(extra), len(pair_i)))
     # pair indicators, a few (slice, m) float arrays, two (extra, nverts) memberships
     state_bytes = 12 * len(pair_i) + 64 * m + 20 * len(extra) * nverts + nverts
-    for lo in range(0, 1 << m, _MASKS_PER_CHUNK):
-        active = _mask_states(np.arange(lo, min(lo + _MASKS_PER_CHUNK, 1 << m)), m)
-        for at, lab in _state_labels(nverts, eu, ev, active, state_bytes):
-            on = active[at : at + lab.shape[1]]
-            f = np.where(on, probs, 1.0 - probs)
-            ones = np.ones((len(f), 1))
-            prefix = np.cumprod(np.hstack([ones, f[:, :-1]]), axis=1)
-            suffix = np.cumprod(np.hstack([ones, f[:, :0:-1]]), axis=1)[:, ::-1]
-            loo = prefix * suffix
-            conn = (lab[pair_i] == lab[pair_j]).astype(float)  # (pairs, slice)
-            q1 += conn @ np.where(on, loo, 0.0)
-            q0 += conn @ np.where(on, 0.0, loo)
-            if len(extra):
-                la, lb = lab[ea], lab[eb]  # (extra, slice)
-                apart = np.where(la != lb, f[:, 0] * suffix[:, 0], 0.0)  # state weights
-                in_a = lab == la[:, None]  # (extra, nverts, slice)
-                in_b = (lab == lb[:, None]).astype(float)
-                met = np.matmul(in_a * apart[:, None], in_b.transpose(0, 2, 1))
-                joins += met[:, pair_i, pair_j] + met[:, pair_j, pair_i]
+    for _, on, lab in _state_labels(nverts, eu, ev, np.arange(1 << m)[:, None], state_bytes):
+        f = np.where(on, probs, 1.0 - probs)
+        ones = np.ones((len(f), 1))
+        prefix = np.cumprod(np.hstack([ones, f[:, :-1]]), axis=1)
+        suffix = np.cumprod(np.hstack([ones, f[:, :0:-1]]), axis=1)[:, ::-1]
+        loo = prefix * suffix
+        conn = (lab[pair_i] == lab[pair_j]).astype(float)  # (pairs, slice)
+        q1 += conn @ np.where(on, loo, 0.0)
+        q0 += conn @ np.where(on, 0.0, loo)
+        if len(extra):
+            la, lb = lab[ea], lab[eb]  # (extra, slice)
+            apart = np.where(la != lb, f[:, 0] * suffix[:, 0], 0.0)  # state weights
+            in_a = lab == la[:, None]  # (extra, nverts, slice)
+            in_b = (lab == lb[:, None]).astype(float)
+            met = np.matmul(in_a * apart[:, None], in_b.transpose(0, 2, 1))
+            joins += met[:, pair_i, pair_j] + met[:, pair_j, pair_i]
     return np.minimum(q0.T, 1.0), np.minimum(q1.T, 1.0), joins
 
 

@@ -5,7 +5,8 @@ carrying an independent existence probability.  The *support graph* is the
 subgraph of edges with strictly positive probability; it determines which
 vertex pairs can ever be connected.  Its components and cut vertices come
 from one depth-first search, which also groups the nonzero patterns of
-matrices for the spectral and bounds modules.
+matrices for the spectral and bounds modules.  The edge-state kernel of
+both engines lives here too, and so does its packed state format.
 """
 
 from __future__ import annotations
@@ -144,16 +145,27 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(idx[:, None] < idx)  # np.triu_indices(n, 1), cheaper
 
 
-def _state_labels(
-    n: int, eu: np.ndarray, ev: np.ndarray, active: np.ndarray, state_bytes: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Component labels of edge states, a slice of about _SLICE_BYTES at a time.
+def _pack_states(on: np.ndarray) -> np.ndarray:
+    """The (states, m) bool rows `on` as packed edge states: ceil(m / 64)
+    little-endian 64-bit words per row, bit k % 64 of word k // 64 for edge k."""
+    words = -(-on.shape[1] // 64)
+    bits = np.pad(on, ((0, 0), (0, 64 * words - on.shape[1])))
+    # one flat packbits: many times faster than packbits(..., axis=1)
+    return np.packbits(bits, bitorder="little").view("<u8").reshape(len(on), words)
 
-    Row s of the (states, m) bool matrix `active` switches edges
-    (eu[k], ev[k]) on or off; `state_bytes` is the caller's working memory
-    per state.  Yields (lo, lab) per slice: lab is the (n, slice) array whose
-    column t labels every vertex of state lo + t with the smallest vertex of
-    its component.
+
+def _state_labels(
+    n: int, eu: np.ndarray, ev: np.ndarray, states: np.ndarray, state_bytes: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Component labels of packed edge states, a slice of about _SLICE_BYTES at a time.
+
+    Row s of `states` is a packed state (:func:`_pack_states`; a column of
+    non-negative 64-bit bitmasks is one word per state) whose bit k switches
+    edge (eu[k], ev[k]) on; `state_bytes` is the caller's working memory per
+    state.  Yields (lo, on, lab) per slice: on is the (slice, m) bool matrix
+    of states lo, lo + 1, ... and lab the (n, slice) array whose column t
+    labels every vertex of state lo + t with the smallest vertex of its
+    component.
 
     One pass over the edges finds the labels: an active edge replaces the
     larger of its endpoints' labels by the smaller one wherever it occurs,
@@ -161,34 +173,34 @@ def _state_labels(
     """
     start = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
     step = max(1, _SLICE_BYTES // state_bytes)
-    for lo in range(0, len(active), step):
-        on = np.ascontiguousarray(active[lo : lo + step].T)
-        lab = np.repeat(start, on.shape[1], axis=1)  # (n, slice): vertex-major rows
-        for u, v, on_k in zip(eu, ev, on):
+    for lo in range(0, len(states), step):
+        octets = states[lo : lo + step].astype("<u8", copy=False).view(np.uint8)
+        on = np.unpackbits(octets, axis=1, count=len(eu), bitorder="little").view(bool)
+        lab = np.repeat(start, len(on), axis=1)  # (n, slice): vertex-major rows
+        for u, v, on_k in zip(eu, ev, np.ascontiguousarray(on.T)):
             lu, lv = lab[u], lab[v]
             hi = np.maximum(lu, lv)
             # an inactive edge "merges" hi into itself, which changes nothing
             np.copyto(lab, np.where(on_k, np.minimum(lu, lv), hi), where=lab == hi)
-        yield lo, lab
+        yield lo, on, lab
 
 
 def _state_pair_sums(
-    n: int, eu: np.ndarray, ev: np.ndarray, active: np.ndarray, weights: np.ndarray
+    n: int, eu: np.ndarray, ev: np.ndarray, states: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """Summed weight of the edge states in which each vertex pair is connected.
 
-    Row s of the (states, m) bool matrix `active` switches edges
-    (eu[k], ev[k]) on or off, and state s carries `weights[s]`: a probability
-    for exhaustive enumeration, a sample multiplicity for Monte Carlo.
-    Returns one sum per pair in np.triu_indices(n, 1) order, in the dtype of
-    `weights`; integer weights give exact integer sums.  States are labelled
-    by :func:`_state_labels`, so memory stays O(slice * n^2) whatever the
-    batch size.
+    Row s of `states` is a packed edge state (see :func:`_state_labels`) and
+    carries `weights[s]`: a probability for exhaustive enumeration, a sample
+    multiplicity for Monte Carlo.  Returns one sum per pair in
+    np.triu_indices(n, 1) order, in the dtype of `weights`; integer weights
+    give exact integer sums.  States are unpacked and labelled a slice at a
+    time, so memory stays O(slice * n^2) whatever the batch size.
     """
     pair_i, pair_j = _upper_pairs(n)
     sums = np.zeros(len(pair_i), dtype=weights.dtype)
-    state_bytes = 12 * len(pair_i) + n + active.shape[1]
-    for lo, lab in _state_labels(n, eu, ev, active, state_bytes):
+    state_bytes = 12 * len(pair_i) + n + len(eu)
+    for lo, _, lab in _state_labels(n, eu, ev, states, state_bytes):
         w = weights[lo : lo + lab.shape[1]]
         # contiguous rows: numpy's pairwise summation, the same on every run
         sums += np.where(lab[pair_i] == lab[pair_j], w, 0).sum(axis=1)

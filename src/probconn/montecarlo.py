@@ -4,9 +4,9 @@ Edge draws come from NumPy's counter-based Philox-4x64 generator keyed by
 the seed: sample t reads its own counter blocks, so the uniform variate
 for edge k of sample t is a pure function of (seed, t, k) and a chunk can
 start anywhere in the stream.  Samples are drawn in chunks of a fixed
-byte budget.  Each chunk is reduced to its distinct edge states and their
-multiplicities (sorting the states packed into 64-bit words), which go
-through the batched edge-state kernel shared with the exact engine
+byte budget.  Each chunk is packed (:func:`probconn.graph._pack_states`)
+and reduced to its distinct packed states and their multiplicities, which
+go as they are through the edge-state kernel shared with the exact engine
 (:func:`probconn.graph._state_pair_sums`).  Connectivity indicators are
 accumulated as integer counts, so the estimate is independent of chunking
 and repeated runs with the same (graph, samples, seed) are bit-identical.
@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import ProbGraph, _pair_matrix, _state_pair_sums
+from .graph import ProbGraph, _pack_states, _pair_matrix, _state_pair_sums
 
 __all__ = ["HalfWidths", "McEstimate", "ci_halfwidth", "mc_connectivity"]
 
@@ -63,17 +63,13 @@ def _edge_uniforms(seed: int, lo: int, hi: int, m: int) -> np.ndarray:
 
 
 def _distinct_states(on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of the (samples, m) bool matrix `on` and how often each occurs."""
-    rows, m = on.shape
-    words = -(-m // 64)
-    bits = np.zeros((rows, 64 * words), dtype=bool)
-    bits[:, :m] = on
-    packed = np.packbits(bits).view(np.uint64)
+    """Distinct rows of the (samples, m) bool matrix `on`, packed, and how often each occurs."""
+    packed = _pack_states(on)
+    words = packed.shape[1]
     # one 64-bit word sorts as an integer; wider states as opaque byte strings
     keys = packed if words == 1 else packed.view(np.dtype((np.void, 8 * words)))
-    distinct, counts = np.unique(keys, return_counts=True)
-    states = np.unpackbits(distinct.view(np.uint8).reshape(-1, 8 * words), axis=1, count=m)
-    return states.view(bool), counts
+    distinct, counts = np.unique(keys.ravel(), return_counts=True)
+    return distinct.view("<u8").reshape(-1, words), counts
 
 
 def mc_connectivity(g: ProbGraph, samples: int, seed: int = 0) -> McEstimate:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ProbGraph
+from .graph import ProbGraph, adjacency_matrix
 
 __all__ = ["WalkMatrix", "otimes", "walk_matrix", "walk_probabilities"]
 
@@ -46,10 +46,8 @@ def _checked(entries: np.ndarray, z: int) -> WalkMatrix:
 
 def walk_matrix(g: ProbGraph) -> WalkMatrix:
     """One-step walk matrix of a graph: link probabilities, zero diagonal."""
-    w = np.zeros((g.n, g.n))
-    for i, j, p in g.edges:
-        w[i, j] = p
-        w[j, i] = p
+    w = adjacency_matrix(g)
+    np.fill_diagonal(w, 0.0)
     return WalkMatrix(entries=w, z=1)
 
 

@@ -13,7 +13,6 @@ from probconn import (
     support_components,
     with_edge_probability,
 )
-from probconn import exact as exact_module
 from probconn import graph as graph_module
 from graphgen import random_graph
 from oracles import connectivity_by_enumeration
@@ -98,8 +97,7 @@ class TestExactConnectivity:
             np.testing.assert_allclose(q, expected, atol=1e-13)
 
     def test_matches_oracle_across_chunk_and_slice_boundaries(self, monkeypatch):
-        # no graph of at most 10 edges crosses them at the default sizes
-        monkeypatch.setattr(exact_module, "_MASKS_PER_CHUNK", 7)
+        # no graph of at most 10 edges crosses a slice boundary at the default size
         monkeypatch.setattr(graph_module, "_SLICE_BYTES", 200)
         self.test_matches_oracle_on_random_graphs()
 

@@ -153,10 +153,31 @@ class TestStatePairSums:
             ).reshape(len(states), -1)
             for weights in (np.ones(len(states)), rng.integers(1, 9, len(states))):
                 sums = graph_module._state_pair_sums(
-                    g.n, ends[:, 0], ends[:, 1], states, weights
+                    g.n, ends[:, 0], ends[:, 1], graph_module._pack_states(states), weights
                 )
                 assert sums.dtype == weights.dtype
                 np.testing.assert_array_equal(sums, weights @ indicators)
+
+    @pytest.mark.parametrize("slice_bytes", [1, graph_module._SLICE_BYTES])
+    @pytest.mark.parametrize("m", [63, 64, 65, 129])
+    def test_states_that_fill_or_cross_a_word(self, monkeypatch, slice_bytes, m):
+        # edge 63 is the last bit of the first word, edges 64 and 128 open the next ones
+        monkeypatch.setattr(graph_module, "_SLICE_BYTES", slice_bytes)
+        rng = np.random.default_rng(m)
+        n = 20
+        pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)])
+        ends = pairs[rng.choice(len(pairs), size=m, replace=False)]
+        drawn = rng.random((12, m)) < rng.uniform(0.0, 0.4, (12, 1))
+        lone = [k for k in (0, 62, 63, 64, 127, 128, m - 1) if k < m]
+        states = np.vstack([drawn, np.eye(m, dtype=bool)[lone], np.zeros(m, bool), np.ones(m, bool)])
+        packed = graph_module._pack_states(states)
+        assert packed.shape == (len(states), -(-m // 64))
+        for k, words in zip(lone, packed[12:]):  # edge k is bit k % 64 of word k // 64
+            assert words.tolist() == [1 << k % 64 if w == k // 64 else 0 for w in range(len(words))]
+        indicators = np.array([pair_indicators(n, ends[row]) for row in states])
+        weights = rng.integers(1, 9, len(states))
+        sums = graph_module._state_pair_sums(n, ends[:, 0], ends[:, 1], packed, weights)
+        np.testing.assert_array_equal(sums, weights @ indicators)
 
 
 class TestArticulationPoints:

@@ -12,8 +12,10 @@ from probconn import (
     affine_slice,
     articulation_points,
     build_graph,
+    ci_halfwidth,
     exact_connectivity,
     format_graph_file,
+    mc_connectivity,
     parse_graph_file,
     support_components,
 )
@@ -89,6 +91,17 @@ def test_forced_link_slices_match_enumeration_oracle(g):
             ref1 = connectivity_by_enumeration(g.n, [*g.edges, (i, j, 1.0)])
         np.testing.assert_allclose(q0, ref0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(q1, ref1, rtol=0, atol=1e-12)
+
+
+@_settings(60)
+@given(graphs(), st.integers(0, 2**64 - 1))
+@example(EXTREMES, 0)
+def test_mc_lies_within_hoeffding_width_of_enumeration(g, seed):
+    est = mc_connectivity(g, 2000, seed)
+    ref = connectivity_by_enumeration(g.n, g.edges)
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            assert abs(est.q_hat[i, j] - ref[i, j]) <= ci_halfwidth(est, (i, j), 0.99).hoeffding
 
 
 @_settings(100)

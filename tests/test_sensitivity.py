@@ -13,7 +13,6 @@ from probconn import (
     sym_eig,
     with_edge_probability,
 )
-from probconn import exact as exact_module
 from probconn import graph as graph_module
 from probconn.exact import _forced_link_slices
 from graphgen import random_connected_graph, random_graph
@@ -202,9 +201,7 @@ class TestOnePassRanking:
     def test_slices_do_not_depend_on_slice_or_chunk_boundaries(self, monkeypatch):
         graphs = _reference_graphs()
         runs = []
-        for masks, slice_bytes in [(exact_module._MASKS_PER_CHUNK, graph_module._SLICE_BYTES),
-                                   (7, 200)]:
-            monkeypatch.setattr(exact_module, "_MASKS_PER_CHUNK", masks)
+        for slice_bytes in [graph_module._SLICE_BYTES, 200]:
             monkeypatch.setattr(graph_module, "_SLICE_BYTES", slice_bytes)
             runs.append([
                 list(_forced_link_slices(g, exact_connectivity(g), list(itertools.combinations(range(g.n), 2))))

@@ -6,14 +6,15 @@ induces is a plain reachability question on a deterministic graph.  The
 path-probability matrix is the state-probability-weighted sum of the
 per-state connectivity indicators.
 
-A state is a bitmask whose bit k switches link k on.  The masks of
-nonzero probability go in ascending order, in one batch, to the edge-state
-kernel shared with the sampling engine
-(:func:`probconn.graph._state_pair_sums`), which labels them a slice at a
-time and sums the weights per pair in a fixed order, so a given build
-produces bit-identical output run after run.  Enumeration runs
-independently inside each support component; entries across components
-are exactly zero by construction.
+Links with p = 0 are left out and sure links (p = 1) contracted: only the
+links between the vertex classes that sure links join are enumerated, on
+one vertex per class.  A state is a bitmask whose bit k switches link k on.
+All masks go in ascending order, in one batch, to the edge-state kernel
+shared with the sampling engine (:func:`probconn.graph._state_pair_sums`),
+which labels them a slice at a time and sums the weights per pair in a
+fixed order, so a given build produces bit-identical output run after run.
+Enumeration runs independently inside each support component; entries
+across components are exactly zero by construction.
 
 The same enumeration also yields, in one pass per component, every link's
 matrices with that link forced off and on, which link ranking uses
@@ -33,11 +34,12 @@ import numpy as np
 
 from .graph import (
     ProbGraph,
-    _pack_states,
     _pair_matrix,
+    _search,
     _state_labels,
     _state_pair_sums,
     _upper_pairs,
+    build_graph,
     support_components,
 )
 
@@ -50,7 +52,7 @@ __all__ = [
 ]
 
 # 2^22 states per component is the practical ceiling for exhaustive
-# enumeration (seconds, ~110 MB); past it the Monte Carlo engine takes over.
+# enumeration (seconds, ~100 MB); past it the Monte Carlo engine takes over.
 DEFAULT_MAX_EDGES = 22
 
 
@@ -78,9 +80,9 @@ def conditional_connectivity(g: ProbGraph, state: Sequence[int]) -> np.ndarray:
     Entry (i, j) is 1 exactly when i and j fall in the same connected
     component once only the edges flagged 1 are kept.  Diagonal is 1.
     """
-    packed = _pack_states(np.array([_check_state(g, state)], dtype=bool))
-    ends = np.array([(i, j) for i, j, _ in g.edges], dtype=int).reshape(g.m, 2)
-    return _pair_matrix(g.n, _state_pair_sums(g.n, ends[:, 0], ends[:, 1], packed, np.ones(1)))
+    bits = _check_state(g, state)
+    sure = build_graph(g.n, [(i, j, float(b)) for (i, j, _), b in zip(g.edges, bits)])
+    return exact_connectivity(sure, max_edges=g.m)  # a 0/1 graph enumerates nothing
 
 
 def state_probability(g: ProbGraph, state: Sequence[int]) -> float:
@@ -94,21 +96,26 @@ def state_probability(g: ProbGraph, state: Sequence[int]) -> float:
 
 def _state_weights(probs: Sequence[float]) -> np.ndarray:
     """Probabilities of all 2^m states, indexed by edge bitmask."""
-    w = np.array([1.0])
-    for p in probs:
-        w = np.concatenate([w * (1.0 - p), w * p])
+    w = np.ones(1 << len(probs))
+    for k, p in enumerate(probs):  # in place: the table is the only allocation
+        np.multiply(w[: 1 << k], p, out=w[1 << k : 2 << k])
+        w[: 1 << k] *= 1.0 - p
     return w
 
 
 def _enumerate_block(nverts: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
-    """Exact connectivity matrix of one component by full state enumeration."""
-    eu, ev, probs = (np.array(column) for column in zip(*edges))
+    """Exact connectivity matrix of one component by full state enumeration
+    of the links between the classes of vertices that its sure links join."""
+    classes = _search(nverts, [(u, v) for u, v, p in edges if p == 1.0])[0]
+    rep = [c for _, c in sorted((v, c) for c, verts in enumerate(classes) for v in verts)]
+    between = [(rep[u], rep[v], p) for u, v, p in edges if rep[u] != rep[v]]
+    if not between:  # one class, always connected
+        return np.ones((nverts, nverts))
+    eu, ev, probs = (np.array(column) for column in zip(*between))
     weights = _state_weights(probs)
-    masks = np.flatnonzero(weights)  # zero-weight states cannot move any entry
-    if len(masks) < len(weights):  # copy only a partial table, never the whole one
-        weights = weights[masks]
-    sums = _state_pair_sums(nverts, eu, ev, masks[:, None], weights)
-    return _pair_matrix(nverts, np.minimum(sums, 1.0))  # sums can overshoot 1 by an ulp
+    sums = _state_pair_sums(len(classes), eu, ev, np.arange(len(weights))[:, None], weights)
+    cq = _pair_matrix(len(classes), np.minimum(sums, 1.0))  # sums can overshoot 1 by an ulp
+    return cq[np.ix_(rep, rep)]
 
 
 def _support_links(
@@ -133,13 +140,13 @@ def _support_links(
 def exact_connectivity(g: ProbGraph, max_edges: int = DEFAULT_MAX_EDGES) -> np.ndarray:
     """Exact path-probability matrix of `g`.
 
-    Enumerates the 2^m edge states of each support component separately
-    and assembles the block-diagonal result; entries between different
+    Enumerates the edge states of each support component separately and
+    assembles the block-diagonal result; entries between different
     components are exactly 0.
 
-    Links with p = 0 are left out of the enumeration.  Raises
-    EdgeLimitExceeded when some component holds more than `max_edges`
-    links with p > 0; the Monte Carlo engine is the fallback there.
+    Links with p = 0 are left out and links with p = 1 contracted.  Raises
+    EdgeLimitExceeded when some component holds more than `max_edges` links
+    with p > 0, sure ones included; the Monte Carlo engine is the fallback.
     """
     blocks, _, links = _support_links(g)
     for verts, edges in zip(blocks, links):
@@ -150,10 +157,8 @@ def exact_connectivity(g: ProbGraph, max_edges: int = DEFAULT_MAX_EDGES) -> np.n
                 f"engine or raise max_edges"
             )
 
-    q = np.eye(g.n)
+    q = np.zeros((g.n, g.n))
     for verts, edges in zip(blocks, links):
-        if len(verts) == 1:
-            continue
         idx = np.array(verts)
         q[np.ix_(idx, idx)] = _enumerate_block(len(verts), edges)
     return q

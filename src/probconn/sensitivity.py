@@ -110,10 +110,10 @@ def lambda_derivative(
     difference along the affine line and flags the result through
     `method`.
     """
-    q = exact_connectivity(g, max_edges)
-    w, vecs = sym_eig(q)
     slc = affine_slice(g, edge, max_edges)
-    value, method = _derivative(w, vecs, slc.q0, slc.slope, g.edges[edge][2])
+    p = g.edges[edge][2]
+    w, vecs = sym_eig(slc.at(p))  # Q itself, by the affine identity
+    value, method = _derivative(w, vecs, slc.q0, slc.slope, p)
     return EdgeDerivative(edge=edge, value=value, method=method)
 
 

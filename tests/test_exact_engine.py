@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from probconn import (
     support_components,
     with_edge_probability,
 )
+from probconn import exact as exact_module
 from probconn import graph as graph_module
+from probconn.exact import _state_weights
 from graphgen import random_graph
 from oracles import connectivity_by_enumeration
 
@@ -65,6 +68,30 @@ class TestStateProbability:
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def _traced_peak(run):
+    """Peak bytes that numpy and Python allocate while `run()` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStateWeights:
+    def test_weights_are_the_state_probabilities(self):
+        g = build_graph(4, [(0, 1, 0.3), (1, 2, 0.9), (2, 3, 1 / 3), (0, 3, 0.0), (0, 2, 1.0)])
+        w = _state_weights([p for _, _, p in g.edges])
+        for mask in range(1 << g.m):
+            bits = [(mask >> k) & 1 for k in range(g.m)]
+            assert w[mask] == state_probability(g, bits)  # same products, same order
+
+    def test_table_is_built_in_place(self):
+        probs = np.linspace(0.05, 0.95, 20)
+        peak = _traced_peak(lambda: _state_weights(probs))
+        assert peak <= 1.1 * (8 << 20), peak  # the 2^20 float64 table itself
+
+
 class TestExactConnectivity:
     def test_path_products(self):
         q = exact_connectivity(PATH3)
@@ -100,6 +127,24 @@ class TestExactConnectivity:
         # no graph of at most 10 edges crosses a slice boundary at the default size
         monkeypatch.setattr(graph_module, "_SLICE_BYTES", 200)
         self.test_matches_oracle_on_random_graphs()
+
+    def test_sure_links_are_contracted_before_enumeration(self):
+        # 6 sure links join 0..6 into one class; 12 uncertain links join it,
+        # 7, 8 and 9, so 2^12 states are enumerated instead of 2^18
+        sure = [(v, v + 1, 1.0) for v in range(6)]
+        shared = [(i, j, 0.3 + 0.05 * i) for j in (7, 8, 9) for i in range(3)]
+        g = build_graph(10, sure + shared + [(7, 8, 0.5), (8, 9, 0.6), (7, 9, 0.7)])
+        assert _traced_peak(lambda: exact_connectivity(g)) < 1 << 20
+
+    def test_corner_graph_enumerates_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a graph of sure and absent links needs no enumeration")
+
+        monkeypatch.setattr(exact_module, "_state_pair_sums", refuse)
+        g = build_graph(6, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 0.0), (2, 3, 0.0), (4, 5, 1.0)])
+        expected = np.zeros((6, 6))
+        expected[:3, :3] = expected[3, 3] = expected[4:, 4:] = 1.0
+        np.testing.assert_array_equal(exact_connectivity(g), expected)
 
     def test_edge_limit_is_per_component(self):
         g = build_graph(

@@ -50,11 +50,18 @@ def _settings(examples):
 
 
 EXTREMES = build_graph(4, [(0, 1, 0.0), (1, 2, 1.0), (2, 3, 5e-324), (0, 3, 1.0 - 2.0**-53)])
+# sure links join {0, 1, 2}, which holds the uncertain link (0, 2) and reaches
+# 3 over two links that become parallel once the class is one vertex; {4, 5}
+# is all sure and 6 is isolated
+CONTRACTED = build_graph(
+    7, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 0.4), (0, 3, 0.3), (2, 3, 0.6), (4, 5, 1.0)]
+)
 
 
 @_settings(100)
 @given(graphs())
 @example(EXTREMES)
+@example(CONTRACTED)
 def test_exact_matches_enumeration_oracle(g):
     np.testing.assert_allclose(
         exact_connectivity(g), connectivity_by_enumeration(g.n, g.edges), rtol=0, atol=1e-13
@@ -75,6 +82,7 @@ def test_affine_slice_passes_through_the_matrix(data):
 @_settings(40)
 @given(graphs())
 @example(EXTREMES)
+@example(CONTRACTED)
 def test_forced_link_slices_match_enumeration_oracle(g):
     # every vertex pair: a link is set to 0 and to 1, an absent pair stays out or is added at 1
     pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]

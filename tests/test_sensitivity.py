@@ -14,6 +14,7 @@ from probconn import (
     with_edge_probability,
 )
 from probconn import graph as graph_module
+from probconn import sensitivity as sensitivity_module
 from probconn.exact import _forced_link_slices
 from graphgen import random_connected_graph, random_graph
 from oracles import rank_per_candidate
@@ -94,6 +95,18 @@ class TestLambdaDerivative:
             d = lambda_derivative(g, edge)
             assert d.method == "rayleigh"
             assert d.value == pytest.approx(_fd_lambda(g, edge), abs=1e-6)
+
+    def test_takes_q_from_its_own_slice(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return exact_connectivity(*args, **kwargs)
+
+        monkeypatch.setattr(sensitivity_module, "exact_connectivity", counted)
+        d = lambda_derivative(TRIANGLE, 0)
+        assert len(calls) == 2  # the link forced off and on; Q is their affine mix
+        assert d.value == pytest.approx(_fd_lambda(TRIANGLE, 0), abs=1e-6)
 
     def test_degenerate_top_eigenvalue_falls_back_to_differences(self):
         # twin components force an exactly repeated lambda_max

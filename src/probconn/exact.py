@@ -9,10 +9,10 @@ per-state connectivity indicators.
 Links with p = 0 are left out and sure links (p = 1) contracted: only the
 links between the vertex classes that sure links join are enumerated, on
 one vertex per class.  A state is a bitmask whose bit k switches link k on.
-All masks go in ascending order, in one batch, to the edge-state kernel
-shared with the sampling engine (:func:`probconn.graph._state_pair_sums`),
-which labels them a slice at a time and sums the weights per pair in a
-fixed order, so a given build produces bit-identical output run after run.
+States come in ascending runs of 2^t that share their high links
+(:func:`probconn.graph._prefix_labels`).  A state's weight is its low
+links' weight (a table of 2^t) times its run's (a table of 2^(m - t)), and
+a run's pair sums are one gemv, added in a fixed order: bit-identical output.
 Enumeration runs independently inside each support component; entries
 across components are exactly zero by construction.
 
@@ -35,9 +35,8 @@ import numpy as np
 from .graph import (
     ProbGraph,
     _pair_matrix,
+    _prefix_labels,
     _search,
-    _state_labels,
-    _state_pair_sums,
     _upper_pairs,
     build_graph,
     support_components,
@@ -51,8 +50,8 @@ __all__ = [
     "state_probability",
 ]
 
-# 2^22 states per component is the practical ceiling for exhaustive
-# enumeration (seconds, ~100 MB); past it the Monte Carlo engine takes over.
+# 2^22 states per component (about 0.2 s, under 1 MB of working memory) is the
+# practical ceiling for exhaustive enumeration; past it Monte Carlo takes over.
 DEFAULT_MAX_EDGES = 22
 
 
@@ -112,8 +111,14 @@ def _enumerate_block(nverts: int, edges: list[tuple[int, int, float]]) -> np.nda
     if not between:  # one class, always connected
         return np.ones((nverts, nverts))
     eu, ev, probs = (np.array(column) for column in zip(*between))
-    weights = _state_weights(probs)
-    sums = _state_pair_sums(len(classes), eu, ev, np.arange(len(weights))[:, None], weights)
+    pair_i, pair_j = _upper_pairs(len(classes))
+    state_bytes = 12 * len(pair_i) + len(classes) * (len(eu) + 1)  # indicators, walk labels
+    sums = np.zeros(len(pair_i))
+    for lo, lab in _prefix_labels(len(classes), eu, ev, state_bytes):
+        if lo == 0:  # the first run's width 2^t splits low links from high ones
+            t = lab.shape[1].bit_length() - 1
+            base_w, high_w = _state_weights(probs[:t]), _state_weights(probs[t:])
+        sums += ((lab[pair_i] == lab[pair_j]) @ base_w) * high_w[lo >> t]
     cq = _pair_matrix(len(classes), np.minimum(sums, 1.0))  # sums can overshoot 1 by an ulp
     return cq[np.ix_(rep, rep)]
 
@@ -189,9 +194,10 @@ def _forced_block_sums(
     pair_i, pair_j = _upper_pairs(nverts)
     q0, q1 = np.zeros((len(pair_i), m)), np.zeros((len(pair_i), m))
     joins = np.zeros((len(extra), len(pair_i)))
-    # pair indicators, a few (slice, m) float arrays, two (extra, nverts) memberships
-    state_bytes = 12 * len(pair_i) + 64 * m + 20 * len(extra) * nverts + nverts
-    for _, on, lab in _state_labels(nverts, eu, ev, np.arange(1 << m)[:, None], state_bytes):
+    # pair indicators, (slice, m) float arrays, (extra, nverts) memberships, walk labels
+    state_bytes = 12 * len(pair_i) + 64 * m + 20 * len(extra) * nverts + nverts * (m + 1)
+    for lo, lab in _prefix_labels(nverts, eu, ev, state_bytes):
+        on = (np.arange(lo, lo + lab.shape[1])[:, None] >> np.arange(m) & 1).astype(bool)
         f = np.where(on, probs, 1.0 - probs)
         ones = np.ones((len(f), 1))
         prefix = np.cumprod(np.hstack([ones, f[:, :-1]]), axis=1)

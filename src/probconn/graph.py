@@ -5,8 +5,8 @@ carrying an independent existence probability.  The *support graph* is the
 subgraph of edges with strictly positive probability; it determines which
 vertex pairs can ever be connected.  Its components and cut vertices come
 from one depth-first search, which also groups the nonzero patterns of
-matrices for the spectral and bounds modules.  The edge-state kernel of
-both engines lives here too, and so does its packed state format.
+matrices for the spectral and bounds modules.  The edge-state kernel lives
+here too: one merge step, used on packed sampled states and on all 2^m states.
 """
 
 from __future__ import annotations
@@ -154,22 +154,24 @@ def _pack_states(on: np.ndarray) -> np.ndarray:
     return np.packbits(bits, bitorder="little").view("<u8").reshape(len(on), words)
 
 
+def _merge(lab: np.ndarray, u: int, v: int, on: np.ndarray | bool = True) -> None:
+    """Join u's and v's components in the columns of the (n, states) labels `lab`
+    where `on` holds: the larger of their two labels is replaced by the smaller."""
+    lu, lv = lab[u], lab[v]
+    hi = np.maximum(lu, lv)
+    np.copyto(lab, np.where(on, np.minimum(lu, lv), hi), where=lab == hi)
+
+
 def _state_labels(
     n: int, eu: np.ndarray, ev: np.ndarray, states: np.ndarray, state_bytes: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int, np.ndarray]]:
     """Component labels of packed edge states, a slice of about _SLICE_BYTES at a time.
 
     Row s of `states` is a packed state (:func:`_pack_states`; a column of
     non-negative 64-bit bitmasks is one word per state) whose bit k switches
     edge (eu[k], ev[k]) on; `state_bytes` is the caller's working memory per
-    state.  Yields (lo, on, lab) per slice: on is the (slice, m) bool matrix
-    of states lo, lo + 1, ... and lab the (n, slice) array whose column t
-    labels every vertex of state lo + t with the smallest vertex of its
-    component.
-
-    One pass over the edges finds the labels: an active edge replaces the
-    larger of its endpoints' labels by the smaller one wherever it occurs,
-    which keeps the labels exact after each edge.
+    state.  Yields (lo, lab) per slice: column c of lab labels each vertex of
+    state lo + c with the smallest vertex of its component.
     """
     start = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
     step = max(1, _SLICE_BYTES // state_bytes)
@@ -178,11 +180,34 @@ def _state_labels(
         on = np.unpackbits(octets, axis=1, count=len(eu), bitorder="little").view(bool)
         lab = np.repeat(start, len(on), axis=1)  # (n, slice): vertex-major rows
         for u, v, on_k in zip(eu, ev, np.ascontiguousarray(on.T)):
-            lu, lv = lab[u], lab[v]
-            hi = np.maximum(lu, lv)
-            # an inactive edge "merges" hi into itself, which changes nothing
-            np.copyto(lab, np.where(on_k, np.minimum(lu, lv), hi), where=lab == hi)
-        yield lo, on, lab
+            _merge(lab, u, v, on_k)
+        yield lo, lab
+
+
+def _prefix_labels(
+    n: int, eu: np.ndarray, ev: np.ndarray, state_bytes: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The labels of :func:`_state_labels` for all 2^m states as bitmasks, in runs
+    lo .. lo + 2^t - 1 that share their high edges t .. m - 1, lo ascending; t is
+    the largest value up to m with 2^t * state_bytes <= _SLICE_BYTES.  Runs share
+    arrays, so the caller must not write to them.  The low edges are labelled
+    once, by doubling, and the high ones walked depth first, about one merge per run.
+    """
+    t = min(len(eu), max(0, (_SLICE_BYTES // state_bytes).bit_length() - 1))
+    base = np.empty((n, 1 << t), dtype=np.min_scalar_type(n))
+    base[:, 0] = np.arange(n)
+    for k in range(t):  # edge k merges only the columns that switch it on
+        base[:, 1 << k : 2 << k] = base[:, : 1 << k]
+        _merge(base[:, 1 << k : 2 << k], eu[k], ev[k])
+    stack = [(len(eu), 0, base)]  # (high edges still to decide, lo, labels)
+    while stack:
+        k, lo, lab = stack.pop()
+        if k > t:
+            on = lab.copy()
+            _merge(on, eu[k - 1], ev[k - 1])
+            stack += [(k - 1, lo | 1 << k - 1, on), (k - 1, lo, lab)]
+        else:
+            yield lo, lab
 
 
 def _state_pair_sums(
@@ -191,16 +216,15 @@ def _state_pair_sums(
     """Summed weight of the edge states in which each vertex pair is connected.
 
     Row s of `states` is a packed edge state (see :func:`_state_labels`) and
-    carries `weights[s]`: a probability for exhaustive enumeration, a sample
-    multiplicity for Monte Carlo.  Returns one sum per pair in
-    np.triu_indices(n, 1) order, in the dtype of `weights`; integer weights
-    give exact integer sums.  States are unpacked and labelled a slice at a
-    time, so memory stays O(slice * n^2) whatever the batch size.
+    carries `weights[s]`, such as a sample multiplicity.  Returns one sum per
+    pair in np.triu_indices(n, 1) order, in the dtype of `weights`; integer
+    weights give exact integer sums.  States are unpacked and labelled a slice
+    at a time, so memory stays O(slice * n^2) whatever the batch size.
     """
     pair_i, pair_j = _upper_pairs(n)
     sums = np.zeros(len(pair_i), dtype=weights.dtype)
     state_bytes = 12 * len(pair_i) + n + len(eu)
-    for lo, _, lab in _state_labels(n, eu, ev, states, state_bytes):
+    for lo, lab in _state_labels(n, eu, ev, states, state_bytes):
         w = weights[lo : lo + lab.shape[1]]
         # contiguous rows: numpy's pairwise summation, the same on every run
         sums += np.where(lab[pair_i] == lab[pair_j], w, 0).sum(axis=1)

@@ -293,6 +293,25 @@ class TestRunCommand:
         assert proc.wait(timeout=60) == 1
         assert "Traceback" not in err
 
+    def test_same_bytes_for_any_blas_thread_count(self, tmp_path):
+        # 2^20 states: the exact engine sums each run of states with one gemv
+        pairs = [(i, j) for i in range(10) for j in range(i + 1, 10)][:20]
+        path = tmp_path / "m20.pg"
+        path.write_text(format_graph_file(build_graph(10, [(i, j, 0.3 + 0.03 * k)
+                                                            for k, (i, j) in enumerate(pairs)])))
+        src = str(Path(cli.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run(
+                [sys.executable, "-m", "probconn.cli", "compute", "--input", str(path)],
+                capture_output=True, env=env, timeout=120, check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["q"][0][9] > 0
+
     def test_document_layout(self, capsys, triangle_file, path4_file, monkeypatch):
         head = ["schema_version", "tool_version", "command", "n", "m"]
         spectrum = ["components", "eigenvalues", "lambda_max", "lambda_max_normalized",

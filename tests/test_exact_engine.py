@@ -10,6 +10,7 @@ from probconn import (
     build_graph,
     conditional_connectivity,
     exact_connectivity,
+    rank_improvements,
     state_probability,
     support_components,
     with_edge_probability,
@@ -140,7 +141,7 @@ class TestExactConnectivity:
         def refuse(*args):
             raise AssertionError("a graph of sure and absent links needs no enumeration")
 
-        monkeypatch.setattr(exact_module, "_state_pair_sums", refuse)
+        monkeypatch.setattr(exact_module, "_prefix_labels", refuse)
         g = build_graph(6, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 0.0), (2, 3, 0.0), (4, 5, 1.0)])
         expected = np.zeros((6, 6))
         expected[:3, :3] = expected[3, 3] = expected[4:, 4:] = 1.0
@@ -160,6 +161,24 @@ class TestExactConnectivity:
         rng = np.random.default_rng(23)
         g = random_graph(rng, m_hi=10)
         assert np.array_equal(exact_connectivity(g), exact_connectivity(g))
+
+
+# one component of 20 links on 10 vertices: 2^20 states, 8 MiB for one
+# float64 per state
+M20 = build_graph(
+    10, [(i, j, 0.3 + 0.03 * k) for k, (i, j) in enumerate(itertools.combinations(range(10), 2))
+         if k < 20]
+)
+
+
+class TestStreamedEnumeration:
+    """States, weights and labels are made a run at a time, never for all 2^m states."""
+
+    def test_exact_connectivity_memory(self):
+        assert _traced_peak(lambda: exact_connectivity(M20)) < 2 << 20
+
+    def test_forced_link_slices_memory(self):
+        assert _traced_peak(lambda: rank_improvements(M20)) < 2 << 20
 
 
 class TestExactInvariants:

@@ -180,6 +180,30 @@ class TestStatePairSums:
         np.testing.assert_array_equal(sums, weights @ indicators)
 
 
+class TestPrefixLabels:
+    # state_bytes = 3 and _SLICE_BYTES = 3 * 2^t + 2 give runs of 2^min(t, m) states
+    @pytest.mark.parametrize("t", [0, 2, 5, 40])
+    def test_runs_label_every_state_in_ascending_order(self, monkeypatch, t):
+        monkeypatch.setattr(graph_module, "_SLICE_BYTES", 3 * (1 << t) + 2)
+        rng = np.random.default_rng(40 + t)
+        for _ in range(12):
+            g = random_graph(rng, n_lo=1, n_hi=7, m_hi=9)
+            eu, ev = np.array([(i, j) for i, j, _ in g.edges], dtype=int).reshape(g.m, 2).T
+            width = 1 << min(t, g.m)
+            runs = list(graph_module._prefix_labels(g.n, eu, ev, 3))
+            assert [lo for lo, _ in runs] == list(range(0, 1 << g.m, width))
+            for lo, lab in runs:
+                masks = np.arange(lo, lo + width)[:, None]
+                ((_, expected),) = graph_module._state_labels(g.n, eu, ev, masks, 1)
+                assert lab.dtype == expected.dtype
+                np.testing.assert_array_equal(lab, expected)
+
+    def test_one_state_per_run_when_a_state_outgrows_the_slice(self):
+        eu, ev = np.array([0, 1, 0]), np.array([1, 2, 2])
+        runs = list(graph_module._prefix_labels(3, eu, ev, graph_module._SLICE_BYTES + 1))
+        assert [(lo, lab.shape) for lo, lab in runs] == [(lo, (3, 1)) for lo in range(8)]
+
+
 class TestArticulationPoints:
     def test_path_center(self):
         g = build_graph(3, [(0, 1, 0.9), (1, 2, 0.8)])

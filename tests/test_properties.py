@@ -4,6 +4,8 @@ Examples are derandomized, so every run checks the same graphs and tier-1
 stays deterministic.
 """
 
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from probconn import (
     parse_graph_file,
     support_components,
 )
+from probconn import graph as graph_module
 from probconn.exact import _forced_link_slices
 from probconn.graph import _search
 from probconn.spectral import _pattern_blocks
@@ -99,6 +102,33 @@ def test_forced_link_slices_match_enumeration_oracle(g):
             ref1 = connectivity_by_enumeration(g.n, [*g.edges, (i, j, 1.0)])
         np.testing.assert_allclose(q0, ref0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(q1, ref1, rtol=0, atol=1e-12)
+
+
+@_settings(60)
+@given(graphs(), st.integers(0, 2**64 - 1))
+@example(EXTREMES, 0)
+@example(CONTRACTED, 1)
+def test_results_do_not_depend_on_the_slice_size(g, seed):
+    # one state per slice, then a few, then every state of these graphs in one
+    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+    runs = []
+    for size in [1, 200, 4096, graph_module._SLICE_BYTES]:
+        with patch.object(graph_module, "_SLICE_BYTES", size):
+            q = exact_connectivity(g)
+            runs.append((q, list(_forced_link_slices(g, q, pairs)), mc_connectivity(g, 300, seed)))
+    ref = connectivity_by_enumeration(g.n, g.edges)
+    probability = {(i, j): p for i, j, p in g.edges}
+    for q, slices, est in runs:
+        np.testing.assert_allclose(q, runs[0][0], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(q, ref, rtol=0, atol=1e-13)
+        for pair, (q0, q1), (r0, r1) in zip(pairs, slices, runs[0][1]):
+            np.testing.assert_allclose(q0, r0, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(q1, r1, rtol=0, atol=1e-14)
+            if pair in probability:  # Q is affine in each link's probability
+                p = probability[pair]
+                np.testing.assert_allclose(p * q1 + (1 - p) * q0, ref, rtol=0, atol=1e-13)
+        assert np.array_equal(est.q_hat, runs[0][2].q_hat)
+        assert np.array_equal(est.std_err, runs[0][2].std_err)
 
 
 @_settings(60)

@@ -169,6 +169,14 @@ def exact_connectivity(g: ProbGraph, max_edges: int = DEFAULT_MAX_EDGES) -> np.n
     return q
 
 
+def _leave_one_out(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Products along the last axis of `f` leaving out each entry, and the full products."""
+    ones = np.ones(f.shape[:-1] + (1,))
+    prefix = np.cumprod(np.concatenate([ones, f], axis=-1), axis=-1)
+    suffix = np.cumprod(np.concatenate([ones, f[..., ::-1]], axis=-1), axis=-1)[..., ::-1]
+    return prefix[..., :-1] * suffix[..., 1:], prefix[..., -1]
+
+
 def _forced_block_sums(
     nverts: int, edges: list[tuple[int, int, float]], extra: list[tuple[int, int]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -185,8 +193,10 @@ def _forced_block_sums(
     link l is on in s and 1 - p_l when it is off.  The products come from
     prefix and suffix products, not by division, so p = 1 links work; for
     the same reason all 2^m states are visited, even those of zero
-    probability.  A sure link on (a, b) joins each vertex of a's component
-    to each vertex of b's in every state where the two differ.
+    probability.  A run of :func:`probconn.graph._prefix_labels` is one product
+    with a (2^t, 2t + 1) table of the low links' forced columns and weights,
+    scaled by the run's O(m) high-link factors.  A sure link on (a, b) joins
+    each vertex of a's component to each vertex of b's where the two differ.
     """
     m = len(edges)
     eu, ev, probs = (np.array(column) for column in zip(*edges))
@@ -194,22 +204,26 @@ def _forced_block_sums(
     pair_i, pair_j = _upper_pairs(nverts)
     q0, q1 = np.zeros((len(pair_i), m)), np.zeros((len(pair_i), m))
     joins = np.zeros((len(extra), len(pair_i)))
-    # pair indicators, (slice, m) float arrays, (extra, nverts) memberships, walk labels
-    state_bytes = 12 * len(pair_i) + 64 * m + 20 * len(extra) * nverts + nverts * (m + 1)
+    # pair indicators, the base table, (extra, nverts) memberships, walk labels
+    state_bytes = 12 * len(pair_i) + 16 * m + 8 + 20 * len(extra) * nverts + nverts * (m + 1)
     for lo, lab in _prefix_labels(nverts, eu, ev, state_bytes):
-        on = (np.arange(lo, lo + lab.shape[1])[:, None] >> np.arange(m) & 1).astype(bool)
-        f = np.where(on, probs, 1.0 - probs)
-        ones = np.ones((len(f), 1))
-        prefix = np.cumprod(np.hstack([ones, f[:, :-1]]), axis=1)
-        suffix = np.cumprod(np.hstack([ones, f[:, :0:-1]]), axis=1)[:, ::-1]
-        loo = prefix * suffix
-        conn = (lab[pair_i] == lab[pair_j]).astype(float)  # (pairs, slice)
-        q1 += conn @ np.where(on, loo, 0.0)
-        q0 += conn @ np.where(on, 0.0, loo)
+        if lo == 0:  # the first run's width 2^t splits low links from high ones
+            t = lab.shape[1].bit_length() - 1
+            on = (np.arange(1 << t)[:, None] >> np.arange(t) & 1).astype(bool)
+            loo, base_w = _leave_one_out(np.where(on, probs[:t], 1.0 - probs[:t]))
+            table = np.hstack([np.where(on, loo, 0.0), np.where(on, 0.0, loo), base_w[:, None]])
+        high_on = (lo >> np.arange(t, m) & 1).astype(bool)
+        high_loo, run_w = _leave_one_out(np.where(high_on, probs[t:], 1.0 - probs[t:]))
+        conn = (lab[pair_i] == lab[pair_j]).astype(float)  # (pairs, run)
+        sums = conn @ table
+        q1[:, :t] += sums[:, :t] * run_w
+        q0[:, :t] += sums[:, t : 2 * t] * run_w
+        q1[:, t:] += np.outer(sums[:, -1], np.where(high_on, high_loo, 0.0))
+        q0[:, t:] += np.outer(sums[:, -1], np.where(high_on, 0.0, high_loo))
         if len(extra):
-            la, lb = lab[ea], lab[eb]  # (extra, slice)
-            apart = np.where(la != lb, f[:, 0] * suffix[:, 0], 0.0)  # state weights
-            in_a = lab == la[:, None]  # (extra, nverts, slice)
+            la, lb = lab[ea], lab[eb]  # (extra, run)
+            apart = np.where(la != lb, base_w * run_w, 0.0)  # state weights
+            in_a = lab == la[:, None]  # (extra, nverts, run)
             in_b = (lab == lb[:, None]).astype(float)
             met = np.matmul(in_a * apart[:, None], in_b.transpose(0, 2, 1))
             joins += met[:, pair_i, pair_j] + met[:, pair_j, pair_i]

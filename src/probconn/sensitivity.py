@@ -9,19 +9,23 @@ current point whenever it is simple, with x the unit principal eigenvector.
 Ranking links by the eigenvalue gain realized at t = 1 answers "which link
 upgrade buys the most quality".  :func:`affine_slice` evaluates one link
 with two exact evaluations; :func:`rank_improvements` takes every link's
-q0 and q1 from one enumeration per support component.
+q0 and q1 from one enumeration per support component, and the top
+eigenvalue of q1 from the block that the link changes, solved in stacks.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+from . import graph
 from .exact import DEFAULT_MAX_EDGES, _forced_link_slices, exact_connectivity
 # add_edge is not called here, but perfbench/tracing.py patches sensitivity.add_edge by name
-from .graph import ProbGraph, add_edge, with_edge_probability  # noqa: F401
+from .graph import ProbGraph, add_edge, support_components, with_edge_probability  # noqa: F401
 from .spectral import sym_eig
 
 __all__ = [
@@ -100,6 +104,17 @@ def _derivative(
     return (lam_hi - lam_lo) / (2.0 * h), "finite_difference"
 
 
+def _top_eigenvalues(blocks: Iterable[np.ndarray]) -> Iterator[float]:
+    """Largest eigenvalue of each symmetric block, in order: each run of blocks of
+    one size goes to np.linalg.eigvalsh in stacks of at most graph._SLICE_BYTES."""
+    for size, run in itertools.groupby(blocks, len):
+        stack = np.dtype((float, (size, size)))
+        cap = max(1, graph._SLICE_BYTES // stack.itemsize)
+        while len(chunk := np.fromiter(itertools.islice(run, cap), stack)):
+            tops, chunk = np.linalg.eigvalsh(chunk)[:, -1].tolist(), None  # one stack alive at a time
+            yield from tops
+
+
 def lambda_derivative(
     g: ProbGraph, edge: int, max_edges: int = DEFAULT_MAX_EDGES
 ) -> EdgeDerivative:
@@ -127,13 +142,13 @@ def rank_improvements(
     Every existing edge is evaluated; with include_absent=True every
     missing vertex pair is tried as a candidate new link as well.  The
     matrices with each link forced off and on come from one enumeration per
-    support component; candidate links do not count toward `max_edges`.
+    support component; candidate links do not count toward `max_edges`.  A
+    link changes Q only inside its endpoints' components: only that block is solved.
     Entries are sorted by projected gain, ties broken by the (i, j) pair, so
     the ranking is deterministic.
     """
     q_now = exact_connectivity(g, max_edges)
     w, vecs = sym_eig(q_now)
-    lam_now = float(w[0])
 
     candidates = [(idx, i, j, p) for idx, (i, j, p) in enumerate(g.edges)]
     if include_absent:
@@ -145,11 +160,31 @@ def rank_improvements(
             if (i, j) not in present
         ]
 
-    pairs = [(i, j) for _, i, j, _ in candidates]
+    # candidates go by the size of the block they change, so that equal sizes stack
+    comps = support_components(g)
+    comp_of = {v: c for c, verts in enumerate(comps) for v in verts}
+
+    def span(i: int, j: int) -> list[int]:
+        return sorted({*comps[comp_of[i]], *comps[comp_of[j]]})
+
+    top = list(_top_eigenvalues(q_now[np.ix_(verts, verts)] for verts in comps))
+    by_top = sorted(range(len(comps)), key=lambda c: -top[c])
+    candidates.sort(key=lambda c: len(span(c[1], c[2])))
+    derivatives: deque[tuple[float, str]] = deque()  # of the blocks not yet solved
+
+    def changed_blocks() -> Iterator[np.ndarray]:
+        pairs = [(i, j) for _, i, j, _ in candidates]
+        for (_, i, j, p), (q0, q1) in zip(candidates, _forced_link_slices(g, q_now, pairs)):
+            derivatives.append(_derivative(w, vecs, q0, q1 - q0, p))
+            verts = span(i, j)
+            yield q1[np.ix_(verts, verts)]
+
     entries = []
-    for (edge_index, i, j, p), (q0, q1) in zip(candidates, _forced_link_slices(g, q_now, pairs)):
-        value, method = _derivative(w, vecs, q0, q1 - q0, p)
-        lam_full = float(sym_eig(q1)[0][0])
+    for (edge_index, i, j, p), lam in zip(candidates, _top_eigenvalues(changed_blocks())):
+        value, method = derivatives.popleft()
+        # q1's lambda_max also counts the components left alone; taking the gain
+        # against the same routine's lambda_max makes an unchanged one exactly 0
+        rest = next((top[c] for c in by_top if c not in (comp_of[i], comp_of[j])), 0.0)
         entries.append(
             RankedEdge(
                 edge_index=edge_index,
@@ -159,8 +194,8 @@ def rank_improvements(
                 dlambda=value,
                 derivative_method=method,
                 headroom=1.0 - p,
-                projected_gain=lam_full - lam_now,
+                projected_gain=max(lam, rest) - top[by_top[0]],
             )
         )
     entries.sort(key=lambda e: (-e.projected_gain, e.i, e.j))
-    return SensitivityRanking(entries=entries, lambda_max=lam_now)
+    return SensitivityRanking(entries=entries, lambda_max=float(w[0]))

@@ -229,6 +229,32 @@ class TestRunCommand:
         gains = [e["projected_gain"] for e in doc["ranking"]]
         assert gains == sorted(gains, reverse=True)
 
+    @pytest.mark.parametrize(
+        "text, links, dlambda, gains",
+        [
+            ("n 1\n", [], [], []),  # no candidates: nothing to stack
+            # singleton components: a tied top eigenvalue, so finite differences;
+            # each candidate's changed block has size 2
+            ("n 3\n", [(None, 0, 1, "finite_difference"), (None, 0, 2, "finite_difference"),
+                        (None, 1, 2, "finite_difference")], [0.0] * 3, [1.0] * 3),
+            # blocks of size 2 (the link (0, 1), and (2, 3) joining two singletons)
+            # and size 3 (a singleton joined to the link's component)
+            ("n 4\ne 0 1 0.5\n",
+             [(None, 0, 2, "rayleigh"), (None, 0, 3, "rayleigh"), (None, 1, 2, "rayleigh"),
+              (None, 1, 3, "rayleigh"), (0, 0, 1, "rayleigh"), (None, 2, 3, "rayleigh")],
+             [0.0, 0.0, 0.0, 0.0, 1.0, 0.0], [0.8660254037844384] * 4 + [0.5, 0.5]),
+        ],
+    )
+    def test_rank_on_degenerate_graphs(self, capsys, tmp_path, text, links, dlambda, gains):
+        path = tmp_path / "g.pg"
+        path.write_text(text)
+        code, out, _ = _run(capsys, ["rank", "--include-absent", "--input", str(path)])
+        assert code == 0
+        ranking = json.loads(out)["ranking"]
+        assert [(e["edge_index"], e["i"], e["j"], e["derivative_method"]) for e in ranking] == links
+        assert [e["dlambda"] for e in ranking] == pytest.approx(dlambda, rel=0, abs=1e-15)
+        assert [e["projected_gain"] for e in ranking] == pytest.approx(gains, rel=0, abs=1e-15)
+
     def test_matrices_parse_back_bit_for_bit(self, capsys, tmp_path):
         # two support components, so block zeros are written too
         g = build_graph(
@@ -300,17 +326,21 @@ class TestRunCommand:
         path.write_text(format_graph_file(build_graph(10, [(i, j, 0.3 + 0.03 * k)
                                                             for k, (i, j) in enumerate(pairs)])))
         src = str(Path(cli.__file__).parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-                filter(None, [src, os.environ.get("PYTHONPATH")])))
-            done = subprocess.run(
-                [sys.executable, "-m", "probconn.cli", "compute", "--input", str(path)],
-                capture_output=True, env=env, timeout=120, check=True,
-            )
-            outputs.append(done.stdout)
-        assert outputs[0] == outputs[1]
-        assert json.loads(outputs[0])["q"][0][9] > 0
+        outputs = {}
+        # rank sums each run of its forced pass with one gemm against a shared table
+        for command in (["compute"], ["rank", "--include-absent"]):
+            for threads in ("1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                    filter(None, [src, os.environ.get("PYTHONPATH")])))
+                done = subprocess.run(
+                    [sys.executable, "-m", "probconn.cli", *command, "--input", str(path)],
+                    capture_output=True, env=env, timeout=120, check=True,
+                )
+                outputs[command[0], threads] = done.stdout
+        assert outputs["compute", "1"] == outputs["compute", "2"]
+        assert outputs["rank", "1"] == outputs["rank", "2"]
+        assert json.loads(outputs["compute", "1"])["q"][0][9] > 0
+        assert len(json.loads(outputs["rank", "1"])["ranking"]) == 45
 
     def test_document_layout(self, capsys, triangle_file, path4_file, monkeypatch):
         head = ["schema_version", "tool_version", "command", "n", "m"]

@@ -179,6 +179,8 @@ class TestStreamedEnumeration:
 
     def test_forced_link_slices_memory(self):
         assert _traced_peak(lambda: rank_improvements(M20)) < 2 << 20
+        # 25 absent candidates: shorter runs, and no table of the high links' factors
+        assert _traced_peak(lambda: rank_improvements(M20, include_absent=True)) < 2 << 20
 
 
 class TestExactInvariants:

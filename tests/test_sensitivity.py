@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,13 @@ class TestRankImprovements:
         assert gains[0] == gains[1]
         assert (ranking.entries[0].i, ranking.entries[0].j) == (0, 1)
 
+    def test_gain_is_exactly_zero_below_an_untouched_component(self):
+        # (4, 5) forced on gives a block of top eigenvalue 2, below the
+        # untouched component {0, 1, 2, 3}, so lambda_max does not move at all
+        g = build_graph(6, [(0, 1, 0.9), (1, 2, 0.8), (0, 2, 0.7), (2, 3, 0.9), (4, 5, 0.3)])
+        entry = next(e for e in rank_improvements(g).entries if (e.i, e.j) == (4, 5))
+        assert entry.projected_gain == 0.0
+
     def test_near_ties_order_by_gain_then_pair(self):
         g = build_graph(3, [(0, 1, 0.7), (1, 2, 0.7)])
         ranking = rank_improvements(g)
@@ -224,3 +232,58 @@ class TestOnePassRanking:
             for (q0, q1), (r0, r1) in zip(default, small):
                 np.testing.assert_allclose(r0, q0, rtol=0, atol=1e-14)
                 np.testing.assert_allclose(r1, q1, rtol=0, atol=1e-14)
+
+
+# 30 components of 4 vertices: 7140 candidates, 7080 of them joining two
+# components into a block of 8
+FOUR_BY_30 = build_graph(
+    120, [(4 * c + a, 4 * c + b, 0.5 + 0.01 * c + 0.1 * a)
+          for c in range(30) for a, b in [(0, 1), (1, 2), (2, 3), (0, 2)]]
+)
+
+
+class TestStackedEigenvalues:
+    """Each candidate's top eigenvalue comes from its changed block, solved in stacks."""
+
+    def test_chunks_do_not_change_the_eigenvalues(self, monkeypatch):
+        rng = np.random.default_rng(59)
+        blocks = []
+        for size in [1, 3, 3, 2, 3, 5, 5]:  # a size may come back after another
+            a = rng.uniform(0.1, 1.0, (size, size))
+            blocks.append(a + a.T)
+        alone = [float(np.linalg.eigvalsh(b)[-1]) for b in blocks]
+        for slice_bytes in [1, 200, graph_module._SLICE_BYTES]:
+            monkeypatch.setattr(graph_module, "_SLICE_BYTES", slice_bytes)
+            assert list(sensitivity_module._top_eigenvalues(blocks)) == alone
+
+    def test_one_decomposition_and_one_stack_per_block_size(self, monkeypatch):
+        # components of 1, 2, 3 and 4 vertices; candidates change blocks of 2 to 7
+        g = build_graph(10, [(1, 2, 0.6), (3, 4, 0.7), (4, 5, 0.8),
+                             (6, 7, 0.5), (7, 8, 0.6), (8, 9, 0.7), (6, 9, 0.8)])
+        eig_calls, stacks = [], []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted_eig(q):
+            eig_calls.append(q)
+            return sym_eig(q)
+
+        def counted_stack(a):
+            stacks.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(sensitivity_module, "sym_eig", counted_eig)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_stack)
+        ranking = rank_improvements(g, include_absent=True)
+        assert len(eig_calls) == 1  # Q itself; every derivative here is a Rayleigh quotient
+        assert {e.derivative_method for e in ranking.entries} == {"rayleigh"}
+        assert [shape[1] for shape in stacks] == [1, 2, 3, 4] + [2, 3, 4, 5, 6, 7]
+        assert sum(shape[0] for shape in stacks[4:]) == len(ranking.entries) == 45
+
+    def test_memory_stays_bounded(self):
+        tracemalloc.start()
+        try:
+            rank_improvements(FOUR_BY_30, include_absent=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20

@@ -12,8 +12,12 @@ every usable route between i and j runs through k: k is a critical vertex
 whose loss disconnects the pair.
 
 Both bounds and the critical-vertex scan read the relay routes q_ik * q_kj
-one relay k at a time, as an (n, n) outer product: O(n^2) memory, O(n^3)
-work.  Relays go in ascending order, so the product's bits are reproducible.
+one relay position at a time, block by block of the nonzero pattern of q:
+a relay outside the block of i and j routes exactly 0, and a pair across
+blocks has no other relays.  Blocks of equal size b are stacked into one
+(B, b, b) array, so each relay step is one batched outer product: O(sum of
+b^3) work for blocks of sizes b, and O(n^2) memory, since a stack holds at
+most n^2 entries.  Relays go in ascending order, so the bits are reproducible.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .graph import _search
+from .graph import _gather, _pattern_blocks, _scatter, _size_stacks
 from .spectral import _check_tolerance, _square_symmetric
 from .walks import _relay_miss
 
@@ -70,7 +74,7 @@ class CriticalFinding:
 
 def _pairs(mask: np.ndarray) -> list[tuple[int, int]]:
     """(row, column) of every True entry, row-major."""
-    i, j = np.nonzero(mask)
+    i, j = mask.nonzero()
     return list(zip(i.tolist(), j.tolist()))
 
 
@@ -88,13 +92,19 @@ def compute_bounds(a, q, tolerance: float = 1e-12) -> BoundsReport:
         raise ValueError(f"dimension mismatch: {a.shape} vs {q.shape}")
     _check_tolerance(tolerance)
     n = q.shape[0]
-    lower = np.full((n, n), -np.inf)
-    for k in range(n):
-        route = np.outer(q[:, k], q[k])
-        route[k] = route[:, k] = -np.inf
-        np.maximum(lower, route, out=lower)
+    blocks = _pattern_blocks(q != 0.0)
+    lower = np.zeros((n, n))
+    for idx in _size_stacks(blocks):
+        qs = _gather(q, idx)
+        # a block of fewer than n vertices also has relays outside it, with routes of 0
+        low = np.full(qs.shape, -np.inf if idx.shape[1] == n else 0.0)
+        for k in range(idx.shape[1]):
+            route = qs[:, :, k, None] * qs[:, None, k, :]
+            route[:, k] = route[:, :, k] = -np.inf
+            np.maximum(low, route, out=low)
+        _scatter(lower, idx, low)
     lower[lower == -np.inf] = 0.0
-    upper = 1.0 - (1.0 - a) * _relay_miss(q, q)
+    upper = 1.0 - (1.0 - a) * _relay_miss(q, q, blocks)
     np.fill_diagonal(lower, 1.0)
     np.fill_diagonal(upper, 1.0)
     violations: list[BoundViolation] = []
@@ -128,27 +138,81 @@ def find_critical_vertices(
     attached as warnings.  Pass statistical=True when `q` is a sampled
     estimate: the findings are then marked as suggestive rather than
     certified.
+
+    A faint pair, 0 < q_ij <= tolerance, is a witness of every vertex k
+    outside its block of the nonzero pattern: there q_ik * q_kj is 0, which
+    is within tolerance of q_ij.
     """
     q = _square_symmetric(q)
     _check_tolerance(tolerance)
     n = q.shape[0]
-    linked = np.triu(q > 0.0, 1)
+    blocks = _pattern_blocks(q != 0.0)
+    block_of = {v: c for c, block in enumerate(blocks) for v in block}
+    # faint pairs: witnesses of every vertex outside their block (see the docstring)
+    faint = [] if len(blocks) == 1 else [
+        (i, j) for i, j in _pairs((q > 0.0) & (q <= tolerance)) if i < j
+    ]
     findings: list[CriticalFinding] = []
-    for k in range(n):
-        gap = q - np.outer(q[:, k], q[k])
-        usable = linked.copy()
-        usable[k] = usable[:, k] = False
-        witnesses = _pairs(usable & (np.abs(gap) <= tolerance))
-        if not witnesses:
-            continue
-        i0, j0 = witnesses[0]
-        v1 = next(b for b in _search(n, _pairs(usable & (gap > tolerance)))[0] if i0 in b)
-        partition_hint = None
-        warnings: list[tuple[int, int, float]] = []
-        if j0 not in v1:
-            v3 = [v for v in range(n) if v != k and v not in v1]
-            partition_hint = (v1, v3)
-            err = np.abs(gap)[np.ix_(v1, v3)]
-            warnings = [(v1[r], v3[c], float(err[r, c])) for r, c in _pairs(err > tolerance)]
-        findings.append(CriticalFinding(k, witnesses, partition_hint, warnings, statistical))
+    for idx in _size_stacks(blocks):
+        qs = _gather(q, idx)
+        stack = idx.tolist()
+        ends = np.arange(len(stack[0]))
+        linked = (qs > 0.0) & (ends[:, None] < ends)  # pairs i < j, as np.triu(..., 1)
+        for pos in ends.tolist():
+            gap = qs - qs[:, :, pos, None] * qs[:, None, pos, :]
+            usable = linked.copy()
+            usable[:, pos] = usable[:, :, pos] = False
+            found: dict[int, list[tuple[int, int]]] = {}
+            hit = (usable & (np.abs(gap) <= tolerance)).nonzero()
+            for s, i, j in zip(*[axis.tolist() for axis in hit]):
+                found.setdefault(s, []).append((stack[s][i], stack[s][j]))
+            for s in range(len(stack)) if faint else found:
+                witnesses = found.get(s, [])
+                k = stack[s][pos]
+                if faint:
+                    witnesses = sorted(witnesses + [
+                        pair for pair in faint if block_of[pair[0]] != block_of[k]
+                    ])
+                    if not witnesses:
+                        continue
+                context = (stack[s], usable[s], gap[s])
+                if block_of[witnesses[0][0]] != block_of[k]:
+                    # a faint pair of another block comes first: there the gap is q itself
+                    other = blocks[block_of[witnesses[0][0]]]
+                    qb = q[np.ix_(other, other)]
+                    context = (other, np.triu(qb > 0.0, 1), qb)
+                hint, warnings = _split(n, k, witnesses[0], *context, tolerance)
+                findings.append(CriticalFinding(k, witnesses, hint, warnings, statistical))
+    findings.sort(key=lambda f: f.k)
     return findings
+
+
+def _split(
+    n: int,
+    k: int,
+    witness: tuple[int, int],
+    verts: list[int],
+    usable: np.ndarray,
+    gap: np.ndarray,
+    tolerance: float,
+) -> tuple[Optional[tuple[list[int], list[int]]], list[tuple[int, int, float]]]:
+    """The partition hint and product-rule warnings of critical vertex k.
+
+    `verts` is the block of the witness (i0, j0), ascending, and `usable`
+    and `gap` are its pairs and gaps q_lm - q_lk * q_km at k.  V1 is the side
+    of i0 in the graph of the gaps above tolerance; when j0 lies outside it,
+    V3 holds every other vertex but k.  Gaps between blocks are 0, so every
+    warning lies inside the block.
+    """
+    i0, j0 = witness
+    local = verts.index(i0)
+    side = next(c for c in _pattern_blocks(usable & (gap > tolerance)) if local in c)
+    v1 = [verts[c] for c in side]
+    if j0 in v1:
+        return None, []
+    kept = {k, *v1}
+    v3 = [v for v in range(n) if v not in kept]
+    rest = [c for c in range(len(verts)) if verts[c] not in kept]
+    err = np.abs(gap)[np.ix_(side, rest)]
+    warnings = [(v1[r], verts[rest[c]], float(err[r, c])) for r, c in _pairs(err > tolerance)]
+    return (v1, v3), warnings

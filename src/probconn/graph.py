@@ -5,8 +5,9 @@ carrying an independent existence probability.  The *support graph* is the
 subgraph of edges with strictly positive probability; it determines which
 vertex pairs can ever be connected.  Its components and cut vertices come
 from one depth-first search, which also groups the nonzero patterns of
-matrices for the spectral and bounds modules.  The edge-state kernel lives
-here too: one merge step, used on packed sampled states and on all 2^m states.
+matrices into blocks, stacked by size, for the spectral, bounds and walks
+modules.  The edge-state kernel lives here too: one merge step, used on
+packed sampled states and on all 2^m states.
 """
 
 from __future__ import annotations
@@ -293,6 +294,41 @@ def _search(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[list[int]], 
         tree.sort()
         components.append(tree)
     return components, [v for v in range(n) if is_cut[v]]
+
+
+def _pattern_blocks(linked: np.ndarray) -> list[list[int]]:
+    """Vertex blocks chained together by the True entries above the diagonal,
+    ordered like the components of :func:`_search`."""
+    n = linked.shape[0]
+    if np.count_nonzero(linked) - np.count_nonzero(linked.diagonal()) == n * (n - 1):
+        return [list(range(n))]  # every pair linked both ways: one block, no search
+    ends = np.arange(n)
+    i, j = (linked & (ends[:, None] < ends)).nonzero()  # as np.triu(linked, 1), cheaper
+    return _search(n, zip(i.tolist(), j.tolist()))[0]
+
+
+def _size_stacks(blocks: list[list[int]]) -> list[np.ndarray]:
+    """The blocks grouped by size: one (B, b) index array per size b, rows in block order."""
+    by_size: dict[int, list[list[int]]] = {}
+    for block in blocks:
+        by_size.setdefault(len(block), []).append(block)
+    return [np.array(stack) for stack in by_size.values()]
+
+
+def _gather(matrix: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The (B, b, b) stack of the blocks of `matrix` that the rows of `idx` index;
+    a single block of every vertex is a view of the matrix, not a copy."""
+    if idx.shape[1] == len(matrix):
+        return matrix[None]
+    return matrix[idx[:, :, None], idx[:, None, :]]
+
+
+def _scatter(out: np.ndarray, idx: np.ndarray, stack: np.ndarray) -> None:
+    """Write the (B, b, b) `stack` back to the blocks of `out` that `idx` indexes."""
+    if idx.shape[1] == len(out):
+        out[...] = stack[0]
+    else:
+        out[idx[:, :, None], idx[:, None, :]] = stack
 
 
 def support_components(g: ProbGraph) -> list[list[int]]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _search
+from .graph import _pattern_blocks
 
 __all__ = [
     "CornerCertificate",
@@ -85,12 +85,6 @@ def _check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
 
 
-def _pattern_blocks(linked: np.ndarray) -> list[list[int]]:
-    """Vertex blocks chained together by the True off-diagonal entries."""
-    i, j = np.nonzero(np.triu(linked, 1))
-    return _search(linked.shape[0], zip(i.tolist(), j.tolist()))[0]
-
-
 def sym_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a dense symmetric matrix, one LAPACK call per block.
 
@@ -118,7 +112,9 @@ def sym_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
     return w[order], v[:, order]
 
 
-def _check_partition(q: np.ndarray, partition: list[list[int]], tolerance: float) -> None:
+def _check_partition(q: np.ndarray, partition: list[list[int]], tolerance: float) -> np.ndarray:
+    """The block of each vertex; raises ValueError unless `partition` partitions
+    the vertices and every entry across blocks is within `tolerance` of 0."""
     n = q.shape[0]
     flat = sorted(v for block in partition for v in block)
     if flat != list(range(n)):
@@ -134,6 +130,7 @@ def _check_partition(q: np.ndarray, partition: list[list[int]], tolerance: float
             f"partition/zero-pattern mismatch: entry {tuple(bad)} is nonzero "
             f"across blocks"
         )
+    return block_id
 
 
 def spectral_report(
@@ -151,16 +148,24 @@ def spectral_report(
     q = _square_symmetric(q)
     _check_tolerance(tolerance)
     n = q.shape[0]
-    _check_partition(q, partition, tolerance)
+    component_of = _check_partition(q, partition, tolerance)
     w, vecs = sym_eig(q)
     x = vecs[:, 0].copy()
     k = int(np.argmax(np.abs(x)))
     if x[k] < 0:
         x = -x
-    component_lambdas = []
-    for block in partition:
-        idx = np.array(block)
-        component_lambdas.append(float(sym_eig(q[np.ix_(idx, idx)])[0][0]))
+    # each column of vecs lies in one block of q's pattern and w descends; a component
+    # that no nonzero entry links to another is a union of such blocks, so its first
+    # column holds its largest eigenvalue, from the very LAPACK call on that block
+    first: dict[int, float] = {}
+    for c, lam in zip(component_of[np.argmax(np.abs(vecs), axis=0)].tolist(), w.tolist()):
+        first.setdefault(c, lam)
+    linked_out = np.any((q != 0.0) & (component_of[:, None] != component_of), axis=1)
+    coupled = set(component_of[linked_out].tolist())
+    component_lambdas = [
+        float(sym_eig(q[np.ix_(block, block)])[0][0]) if c in coupled else first[c]
+        for c, block in enumerate(partition)
+    ]
     return SpectralReport(
         eigenvalues=w,
         lambda_max=float(w[0]),

@@ -5,7 +5,8 @@ breadth-first search instead of a low-link depth-first search or batched
 label relabelling, cut vertices by deleting each vertex in turn,
 accumulation uses math.fsum instead of numpy sums, eigenvalues come
 from cyclic Jacobi rotations instead of LAPACK, and relay bounds and
-critical vertices come from plain loops instead of per-relay outer products.
+critical vertices and relay compositions come from plain loops instead of
+per-relay products on stacked blocks.
 The SplitMix64 edge draws that the Monte Carlo count fixture was recorded
 with live here too, so the fixture stays checkable after the engine moved
 to NumPy's Philox stream.  So does the link ranking of earlier versions,
@@ -178,6 +179,23 @@ def relay_bounds(a, q):
                 lower[i, j] = max(routes, default=0.0)
                 upper[i, j] = 1.0 - (1.0 - a[i][j]) * math.prod(1.0 - r for r in routes)
     return lower, upper
+
+
+def relay_fold_by_loops(a, b):
+    """Relay composition 1 - prod (1 - a_il b_lj) over l not in {i, j}, by plain loops.
+
+    The relays l go in ascending order, for every entry, the diagonal included.
+    """
+    n = len(a)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            miss = 1.0
+            for l in range(n):
+                if l != i and l != j:
+                    miss *= 1.0 - a[i][l] * b[l][j]
+            out[i, j] = 1.0 - miss
+    return out
 
 
 def critical_by_loops(q, tol):

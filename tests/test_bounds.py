@@ -148,12 +148,41 @@ class TestFindCriticalVertices:
 TOLERANCES = (0.0, 1e-12, 1e-9, 1e-3)
 
 
+def _clustered_cases(rng):
+    """(a, q) pairs on components of 1, 2 and 3 to 5 vertices, labels shuffled across
+    them: the exact matrix, then with negative entries inside components and faint
+    entries (1e-13, 1e-10 and 1e-4, below one tolerance and above the next) across them."""
+    cases = []
+    for _ in range(8):
+        sizes = [1, 2, *rng.integers(3, 6, size=3).tolist()]
+        label = rng.permutation(sum(sizes)).tolist()
+        comps = [label[sum(sizes[:c]) : sum(sizes[: c + 1])] for c in range(len(sizes))]
+        edges = []
+        for comp in comps[1:]:
+            g = random_connected_graph(rng, n_lo=len(comp), n_hi=len(comp))
+            edges += [(comp[i], comp[j], p) for i, j, p in g.edges]
+        g = build_graph(len(label), edges)
+        a, q = adjacency_matrix(g), exact_connectivity(g)
+        negative, faint = q.copy(), q.copy()
+        for comp in comps[2:]:
+            u, v = rng.choice(comp, size=2, replace=False)
+            negative[u, v] = negative[v, u] = -rng.uniform(0.0, 0.5)
+        for value in (1e-13, 1e-10, 1e-4):
+            c, d = rng.choice(len(comps), size=2, replace=False)
+            u, v = rng.choice(comps[c]), rng.choice(comps[d])
+            faint[u, v] = faint[v, u] = value
+        cases += [(a, q), (a, negative), (a, faint)]
+    return cases
+
+
 def _reference_cases(kind):
-    """(a, q) pairs of one kind: exact, sampled, out-of-range or tiny (n = 1, 2)."""
+    """(a, q) pairs of one kind: exact, sampled, out-of-range, clustered or tiny (n = 1, 2)."""
     if kind == "tiny":
         graphs = [build_graph(1, []), build_graph(2, [(0, 1, 0.6)])]
         return [(adjacency_matrix(g), exact_connectivity(g)) for g in graphs]
     rng = np.random.default_rng(404)
+    if kind == "clustered":
+        return _clustered_cases(rng)
     cases = []
     for s in range(10):
         g = random_connected_graph(rng, n_lo=4, n_hi=9, extra_hi=4)
@@ -179,7 +208,7 @@ def _violations_by_loops(q, lower, upper, tolerance):
     return found
 
 
-@pytest.mark.parametrize("kind", ["exact", "sampled", "out_of_range", "tiny"])
+@pytest.mark.parametrize("kind", ["exact", "sampled", "out_of_range", "clustered", "tiny"])
 class TestAgainstLoopReferences:
     def test_bounds_match_relay_loops(self, kind):
         violations = 0
@@ -195,7 +224,7 @@ class TestAgainstLoopReferences:
             assert violations > 0
 
     def test_critical_vertices_match_triple_loop(self, kind):
-        warnings = 0
+        warnings = faint = 0
         for _, q in _reference_cases(kind):
             for tolerance in TOLERANCES:
                 findings = find_critical_vertices(q, tolerance, statistical=kind == "sampled")
@@ -204,5 +233,9 @@ class TestAgainstLoopReferences:
                 ] == critical_by_loops(q, tolerance)
                 assert all(f.statistical == (kind == "sampled") for f in findings)
                 warnings += sum(len(f.warnings) for f in findings)
+                # a faint pair is a witness of every vertex outside its block
+                faint += sum(q[f.witnesses[0]] <= tolerance for f in findings)
         if kind == "sampled":
             assert warnings > 0
+        if kind == "clustered":
+            assert faint > 0

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probconn import (
+    WalkMatrix,
     affine_slice,
     articulation_points,
     build_graph,
@@ -18,14 +19,15 @@ from probconn import (
     exact_connectivity,
     format_graph_file,
     mc_connectivity,
+    otimes,
     parse_graph_file,
     support_components,
+    walk_probabilities,
 )
 from probconn import graph as graph_module
 from probconn.exact import _forced_link_slices
-from probconn.graph import _search
-from probconn.spectral import _pattern_blocks
-from oracles import components_and_cut_vertices, connectivity_by_enumeration
+from probconn.graph import _pattern_blocks, _search
+from oracles import components_and_cut_vertices, connectivity_by_enumeration, relay_fold_by_loops
 
 # exact 0 and 1 (links that never or always come up) and the extreme
 # doubles next to them, besides any probability in between
@@ -169,3 +171,26 @@ def test_search_matches_bfs_oracle(g):
     rows, cols = np.nonzero(np.triu(linked, 1))
     assert _search(g.n, zip(rows.tolist(), cols.tolist())) == (components, cuts)
     assert _pattern_blocks(linked) == components
+
+
+@st.composite
+def block_operands(draw, max_n=9):
+    """Two non-symmetric matrices with entries in [0, 1], the diagonal included, that
+    are 0 outside the blocks of a random vertex grouping; labels mix across blocks."""
+    n = draw(st.integers(1, max_n))
+    group = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    entries = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=n * n, max_size=n * n)
+    inside = group[:, None] == group
+    return tuple(np.where(inside, np.reshape(draw(entries), (n, n)), 0.0) for _ in range(2))
+
+
+@_settings(100)
+@given(block_operands(), st.integers(1, 4))
+def test_relay_folds_match_loop_oracle(operands, z):
+    a, b = operands
+    np.testing.assert_array_equal(otimes(WalkMatrix(a), WalkMatrix(b)).entries,
+                                  relay_fold_by_loops(a, b))
+    expected = a
+    for _ in range(z - 1):
+        expected = relay_fold_by_loops(expected, a)
+    np.testing.assert_array_equal(walk_probabilities(WalkMatrix(a), z).entries, expected)

@@ -6,6 +6,7 @@ from probconn import (
     build_graph,
     compare_quality,
     exact_connectivity,
+    mc_connectivity,
     spectral_report,
     support_components,
     sym_eig,
@@ -111,6 +112,21 @@ class TestSpectralReport:
         rep = spectral_report(q, support_components(g))
         assert rep.lambda_max == pytest.approx(max(rep.component_lambdas), abs=1e-9)
         assert len(rep.component_lambdas) == 2
+
+    def test_component_lambdas_equal_each_component_solved_alone(self):
+        # components with labels mixed across them; sampled matrices with zeros inside
+        # a component; a faint entry across two components, within the tolerance
+        faint = np.array([[1.0, 1e-12], [1e-12, 1.0]])
+        cases = [(faint, [[0], [1]])]
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            g = random_graph(rng, n_lo=6, n_hi=12, m_hi=10)
+            cases += [(exact_connectivity(g), support_components(g)),
+                      (mc_connectivity(g, 20, seed=1).q_hat, support_components(g))]
+        for q, partition in cases:
+            assert spectral_report(q, partition).component_lambdas == [
+                float(sym_eig(q[np.ix_(block, block)])[0][0]) for block in partition
+            ]
 
     def test_principal_vector_positive_for_connected_network(self):
         g = build_graph(4, [(0, 1, 0.6), (1, 2, 0.7), (2, 3, 0.8), (0, 3, 0.5)])

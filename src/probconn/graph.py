@@ -135,8 +135,9 @@ def adjacency_matrix(g: ProbGraph) -> np.ndarray:
     return a
 
 
-# Working memory per slice of states: about 12 bytes per vertex pair and
-# state in _state_pair_sums, so 1 MiB holds ~1.8k states at n = 10 (45 pairs).
+# Working memory per slice of states: about 10 bytes per vertex and one per
+# edge and state in _state_pair_sums, so 1 MiB holds ~3.3k states at n = 28
+# with 40 edges.
 _SLICE_BYTES = 1 << 20
 
 
@@ -157,10 +158,16 @@ def _pack_states(on: np.ndarray) -> np.ndarray:
 
 def _merge(lab: np.ndarray, u: int, v: int, on: np.ndarray | bool = True) -> None:
     """Join u's and v's components in the columns of the (n, states) labels `lab`
-    where `on` holds: the larger of their two labels is replaced by the smaller."""
+    where `on` holds: the larger of their two labels is replaced by the smaller.
+
+    Branch free: every entry equal to the larger label drops by the gap to the
+    smaller one, a gap of 0 where `on` fails or u and v already share a label,
+    so the unsigned labels never wrap and keep their dtype.
+    """
     lu, lv = lab[u], lab[v]
     hi = np.maximum(lu, lv)
-    np.copyto(lab, np.where(on, np.minimum(lu, lv), hi), where=lab == hi)
+    drop = (hi - np.minimum(lu, lv)) * on
+    lab -= (lab == hi) * drop
 
 
 def _state_labels(
@@ -219,16 +226,22 @@ def _state_pair_sums(
     Row s of `states` is a packed edge state (see :func:`_state_labels`) and
     carries `weights[s]`, such as a sample multiplicity.  Returns one sum per
     pair in np.triu_indices(n, 1) order, in the dtype of `weights`; integer
-    weights give exact integer sums.  States are unpacked and labelled a slice
-    at a time, so memory stays O(slice * n^2) whatever the batch size.
+    weights give exact integer sums while a slice's total weight stays below
+    2^53.  States are unpacked and labelled a slice at a time, and each
+    vertex's pairs with the later vertices are summed as one float64
+    matrix-vector product, so memory stays O(slice * (n + m)) whatever the
+    batch size.
     """
-    pair_i, pair_j = _upper_pairs(n)
-    sums = np.zeros(len(pair_i), dtype=weights.dtype)
-    state_bytes = 12 * len(pair_i) + n + len(eu)
+    sums = np.zeros(n * (n - 1) // 2, dtype=weights.dtype)
+    part = np.empty(len(sums))  # one slice's sums, exact in float64
+    state_bytes = 10 * n + len(eu)  # labels, unpacked bits, one vertex's indicators
     for lo, lab in _state_labels(n, eu, ev, states, state_bytes):
-        w = weights[lo : lo + lab.shape[1]]
-        # contiguous rows: numpy's pairwise summation, the same on every run
-        sums += np.where(lab[pair_i] == lab[pair_j], w, 0).sum(axis=1)
+        w = weights[lo : lo + lab.shape[1]].astype(np.float64)
+        at = 0
+        for i in range(n - 1):
+            np.matmul(lab[i + 1 :] == lab[i], w, out=part[at : at + n - 1 - i])
+            at += n - 1 - i
+        sums += part.astype(sums.dtype, copy=False)
     return sums
 
 

@@ -6,10 +6,11 @@ for edge k of sample t is a pure function of (seed, t, k) and a chunk can
 start anywhere in the stream.  Samples are drawn in chunks of a fixed
 byte budget.  Each chunk is packed (:func:`probconn.graph._pack_states`)
 and reduced to its distinct packed states and their multiplicities, which
-go as they are through the edge-state kernel shared with the exact engine
-(:func:`probconn.graph._state_pair_sums`).  Connectivity indicators are
-accumulated as integer counts, so the estimate is independent of chunking
-and repeated runs with the same (graph, samples, seed) are bit-identical.
+go as they are through the edge-state kernel
+(:func:`probconn.graph._state_pair_sums`), whose merge step the exact
+engine shares.  Connectivity indicators are accumulated as integer
+counts, so the estimate is independent of chunking and repeated runs
+with the same (graph, samples, seed) are bit-identical.
 """
 
 from __future__ import annotations

@@ -327,8 +327,10 @@ class TestRunCommand:
                                                             for k, (i, j) in enumerate(pairs)])))
         src = str(Path(cli.__file__).parents[1])
         outputs = {}
-        # rank sums each run of its forced pass with one gemm against a shared table
-        for command in (["compute"], ["rank", "--include-absent"]):
+        # rank sums each run of its forced pass with one gemm against a shared table,
+        # and mc each vertex's pairs in a slice of sampled states with one gemv
+        mc = ["mc", "--samples", "20000", "--seed", "1"]
+        for command in (["compute"], ["rank", "--include-absent"], mc):
             for threads in ("1", "2"):
                 env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
                     filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -339,6 +341,7 @@ class TestRunCommand:
                 outputs[command[0], threads] = done.stdout
         assert outputs["compute", "1"] == outputs["compute", "2"]
         assert outputs["rank", "1"] == outputs["rank", "2"]
+        assert outputs["mc", "1"] == outputs["mc", "2"]
         assert json.loads(outputs["compute", "1"])["q"][0][9] > 0
         assert len(json.loads(outputs["rank", "1"])["ranking"]) == 45
 

@@ -179,6 +179,45 @@ class TestStatePairSums:
         sums = graph_module._state_pair_sums(n, ends[:, 0], ends[:, 1], packed, weights)
         np.testing.assert_array_equal(sums, weights @ indicators)
 
+    @pytest.mark.parametrize("slice_bytes", [1, graph_module._SLICE_BYTES])
+    def test_uint16_labels_on_a_sparse_300_vertex_graph(self, monkeypatch, slice_bytes):
+        # labels above 255 take uint16; closing the ring joins 0 and 299 (a drop of
+        # 299), and chords and the ring's last link often merge one component
+        monkeypatch.setattr(graph_module, "_SLICE_BYTES", slice_bytes)
+        rng = np.random.default_rng(300)
+        n = 300
+        chords = {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(40)}
+        ends = np.array(sorted({(i, i + 1) for i in range(n - 1)} | {(0, n - 1)} | chords))
+        m = len(ends)
+        drawn = rng.random((10, m)) < rng.uniform(0.5, 1.0, (10, 1))
+        states = np.vstack([drawn, np.zeros(m, bool), np.ones(m, bool)])
+        packed = graph_module._pack_states(states)
+        for _, lab in graph_module._state_labels(n, ends[:, 0], ends[:, 1], packed, 1):
+            assert lab.dtype == np.uint16
+            assert lab.max() < n
+        indicators = np.array([pair_indicators(n, ends[row]) for row in states])
+        weights = rng.integers(1, 9, len(states))
+        sums = graph_module._state_pair_sums(n, ends[:, 0], ends[:, 1], packed, weights)
+        assert sums.dtype == weights.dtype
+        np.testing.assert_array_equal(sums, weights @ indicators)
+
+    def test_large_integer_weights_sum_exactly(self):
+        # a slice's total passes 2^31 and stays below 2^53; odd weights near 2^40
+        # lose their low bits in float32, so only float64 sums them exactly
+        rng = np.random.default_rng(40)
+        n = 9
+        ends = np.array(sorted({(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+                               | {(0, 4), (1, 6), (2, 5), (3, 8), (4, 7)}))  # ring and chords
+        m = len(ends)
+        states = np.vstack([rng.random((10, m)) < 0.4, np.zeros(m, bool), np.ones(m, bool)])
+        weights = (1 << 40) + 2 * rng.integers(0, 1 << 20, len(states)) + 1
+        indicators = np.array([pair_indicators(n, ends[row]) for row in states])
+        packed = graph_module._pack_states(states)
+        sums = graph_module._state_pair_sums(n, ends[:, 0], ends[:, 1], packed, weights)
+        assert sums.dtype == np.int64
+        assert 1 << 31 < weights.sum() < 1 << 53
+        assert sums.tolist() == [sum(int(w) for w, on in zip(weights, col) if on) for col in indicators.T]
+
 
 class TestPrefixLabels:
     # state_bytes = 3 and _SLICE_BYTES = 3 * 2^t + 2 give runs of 2^min(t, m) states

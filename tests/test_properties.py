@@ -25,6 +25,7 @@ from probconn import (
     walk_probabilities,
 )
 from probconn import graph as graph_module
+from probconn import montecarlo
 from probconn.exact import _forced_link_slices
 from probconn.graph import _pattern_blocks, _search
 from oracles import components_and_cut_vertices, connectivity_by_enumeration, relay_fold_by_loops
@@ -131,6 +132,20 @@ def test_results_do_not_depend_on_the_slice_size(g, seed):
                 np.testing.assert_allclose(p * q1 + (1 - p) * q0, ref, rtol=0, atol=1e-13)
         assert np.array_equal(est.q_hat, runs[0][2].q_hat)
         assert np.array_equal(est.std_err, runs[0][2].std_err)
+
+
+@_settings(60)
+@given(graphs(), st.integers(0, 2**64 - 1), st.integers(1, 300),
+       st.one_of(st.integers(1, 1 << 12), st.integers(1, montecarlo._DRAW_BYTES)))
+@example(EXTREMES, 0, 300, 1)
+@example(CONTRACTED, 3, 257, 32 * 2 * 5 + 31)  # 6 links: 5 samples a chunk, 31 bytes spare
+def test_mc_does_not_depend_on_the_draw_budget(g, seed, samples, budget):
+    # a chunk draws budget // (32 bytes per 4 links) samples, at least one
+    ref = mc_connectivity(g, samples, seed)
+    with patch.object(montecarlo, "_DRAW_BYTES", budget):
+        est = mc_connectivity(g, samples, seed)
+    assert np.array_equal(est.q_hat, ref.q_hat)
+    assert np.array_equal(est.std_err, ref.std_err)
 
 
 @_settings(60)

@@ -129,8 +129,10 @@ def find_critical_vertices(
 ) -> list[CriticalFinding]:
     """Report every vertex k that some pair can only reach through k.
 
-    A witness pair (i, j) has q_ij > 0 and q_ij equal to q_ik * q_kj within
-    `tolerance`.  Witness pairs are enumerated exhaustively.  For each
+    A witness pair (i, j) has q_ij > tolerance and q_ij equal to q_ik * q_kj
+    within `tolerance`.  An entry within tolerance of 0 counts as 0: such a
+    pair says nothing about k, so every witness lies in k's block of the
+    nonzero pattern.  Witness pairs are enumerated exhaustively.  For each
     finding the vertex split (V1, {k}, V3) is recovered from the matrix
     when possible: l and m share a side when some route bypasses k, i.e.
     q_lm - q_lk * q_km > tolerance.  The product rule q_lm = q_lk * q_km is
@@ -138,26 +140,16 @@ def find_critical_vertices(
     attached as warnings.  Pass statistical=True when `q` is a sampled
     estimate: the findings are then marked as suggestive rather than
     certified.
-
-    A faint pair, 0 < q_ij <= tolerance, is a witness of every vertex k
-    outside its block of the nonzero pattern: there q_ik * q_kj is 0, which
-    is within tolerance of q_ij.
     """
     q = _square_symmetric(q)
     _check_tolerance(tolerance)
     n = q.shape[0]
-    blocks = _pattern_blocks(q != 0.0)
-    block_of = {v: c for c, block in enumerate(blocks) for v in block}
-    # faint pairs: witnesses of every vertex outside their block (see the docstring)
-    faint = [] if len(blocks) == 1 else [
-        (i, j) for i, j in _pairs((q > 0.0) & (q <= tolerance)) if i < j
-    ]
     findings: list[CriticalFinding] = []
-    for idx in _size_stacks(blocks):
+    for idx in _size_stacks(_pattern_blocks(q != 0.0)):
         qs = _gather(q, idx)
         stack = idx.tolist()
         ends = np.arange(len(stack[0]))
-        linked = (qs > 0.0) & (ends[:, None] < ends)  # pairs i < j, as np.triu(..., 1)
+        linked = (qs > tolerance) & (ends[:, None] < ends)  # pairs i < j, as np.triu(..., 1)
         for pos in ends.tolist():
             gap = qs - qs[:, :, pos, None] * qs[:, None, pos, :]
             usable = linked.copy()
@@ -166,22 +158,9 @@ def find_critical_vertices(
             hit = (usable & (np.abs(gap) <= tolerance)).nonzero()
             for s, i, j in zip(*[axis.tolist() for axis in hit]):
                 found.setdefault(s, []).append((stack[s][i], stack[s][j]))
-            for s in range(len(stack)) if faint else found:
-                witnesses = found.get(s, [])
+            for s, witnesses in found.items():
                 k = stack[s][pos]
-                if faint:
-                    witnesses = sorted(witnesses + [
-                        pair for pair in faint if block_of[pair[0]] != block_of[k]
-                    ])
-                    if not witnesses:
-                        continue
-                context = (stack[s], usable[s], gap[s])
-                if block_of[witnesses[0][0]] != block_of[k]:
-                    # a faint pair of another block comes first: there the gap is q itself
-                    other = blocks[block_of[witnesses[0][0]]]
-                    qb = q[np.ix_(other, other)]
-                    context = (other, np.triu(qb > 0.0, 1), qb)
-                hint, warnings = _split(n, k, witnesses[0], *context, tolerance)
+                hint, warnings = _split(n, k, witnesses[0], stack[s], usable[s], gap[s], tolerance)
                 findings.append(CriticalFinding(k, witnesses, hint, warnings, statistical))
     findings.sort(key=lambda f: f.k)
     return findings
@@ -198,11 +177,12 @@ def _split(
 ) -> tuple[Optional[tuple[list[int], list[int]]], list[tuple[int, int, float]]]:
     """The partition hint and product-rule warnings of critical vertex k.
 
-    `verts` is the block of the witness (i0, j0), ascending, and `usable`
-    and `gap` are its pairs and gaps q_lm - q_lk * q_km at k.  V1 is the side
-    of i0 in the graph of the gaps above tolerance; when j0 lies outside it,
-    V3 holds every other vertex but k.  Gaps between blocks are 0, so every
-    warning lies inside the block.
+    `verts` is the block of k and its witness (i0, j0), ascending, and
+    `usable` and `gap` are its linked pairs and gaps q_lm - q_lk * q_km at k.
+    V1 is the side of i0 in the graph of the gaps above tolerance; when j0
+    lies outside it, V3 holds every other vertex but k.  Entries across
+    blocks are 0, and so are their gaps, so every warning lies inside the
+    block.
     """
     i0, j0 = witness
     local = verts.index(i0)

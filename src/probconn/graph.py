@@ -248,7 +248,7 @@ def _state_pair_sums(
 def _pair_matrix(n: int, values: np.ndarray) -> np.ndarray:
     """Symmetric matrix with unit diagonal from np.triu_indices(n, 1) values."""
     out = np.eye(n)
-    upper = np.triu_indices(n, k=1)
+    upper = _upper_pairs(n)
     out[upper] = values
     out.T[upper] = values
     return out

@@ -117,7 +117,7 @@ def _check_partition(q: np.ndarray, partition: list[list[int]], tolerance: float
     the vertices and every entry across blocks is within `tolerance` of 0."""
     n = q.shape[0]
     flat = sorted(v for block in partition for v in block)
-    if flat != list(range(n)):
+    if flat != list(range(n)) or not all(len(block) for block in partition):
         raise ValueError("partition blocks do not partition the vertex set")
     block_id = np.empty(n, dtype=int)
     for b, block in enumerate(partition):
@@ -127,7 +127,7 @@ def _check_partition(q: np.ndarray, partition: list[list[int]], tolerance: float
     if np.any(np.abs(q[cross]) > tolerance):
         bad = np.argwhere(cross & (np.abs(q) > tolerance))[0]
         raise ValueError(
-            f"partition/zero-pattern mismatch: entry {tuple(bad)} is nonzero "
+            f"partition/zero-pattern mismatch: entry {tuple(bad.tolist())} is nonzero "
             f"across blocks"
         )
     return block_id
@@ -141,7 +141,9 @@ def spectral_report(
     """Full spectrum plus quality verdicts for a connectivity matrix.
 
     `partition` must match the matrix's block structure: entries across
-    different blocks have to be zero (within `tolerance`).  Positive
+    different blocks have to be within `tolerance` of 0, and are read as 0.
+    The spectrum is that of the matrix with them zeroed, and each block's
+    largest eigenvalue comes from the same decomposition.  Positive
     semi-definiteness is judged as smallest eigenvalue >= -tolerance * n;
     strict definiteness as > tolerance * n.
     """
@@ -149,23 +151,19 @@ def spectral_report(
     _check_tolerance(tolerance)
     n = q.shape[0]
     component_of = _check_partition(q, partition, tolerance)
+    q[component_of[:, None] != component_of] = 0.0
     w, vecs = sym_eig(q)
     x = vecs[:, 0].copy()
     k = int(np.argmax(np.abs(x)))
     if x[k] < 0:
         x = -x
-    # each column of vecs lies in one block of q's pattern and w descends; a component
-    # that no nonzero entry links to another is a union of such blocks, so its first
-    # column holds its largest eigenvalue, from the very LAPACK call on that block
+    # each column of vecs lies in one block of q's pattern and w descends; with the
+    # entries across components zeroed, a component is a union of such blocks, so its
+    # first column holds its largest eigenvalue, from the very LAPACK call on that block
     first: dict[int, float] = {}
     for c, lam in zip(component_of[np.argmax(np.abs(vecs), axis=0)].tolist(), w.tolist()):
         first.setdefault(c, lam)
-    linked_out = np.any((q != 0.0) & (component_of[:, None] != component_of), axis=1)
-    coupled = set(component_of[linked_out].tolist())
-    component_lambdas = [
-        float(sym_eig(q[np.ix_(block, block)])[0][0]) if c in coupled else first[c]
-        for c, block in enumerate(partition)
-    ]
+    component_lambdas = [first[c] for c in range(len(partition))]
     return SpectralReport(
         eigenvalues=w,
         lambda_max=float(w[0]),

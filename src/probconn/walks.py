@@ -98,10 +98,10 @@ def _blocks(*operands: np.ndarray) -> list[list[int]]:
 
 
 def walk_probabilities(m: WalkMatrix, z: int) -> WalkMatrix:
-    """z-step walk matrix: the one-step matrix left-folded z - 1 times."""
+    """z-step walk matrix: `m` left-folded with itself z - 1 times, of z * m.z steps."""
     if z < 1:
         raise ValueError(f"walk length must be >= 1, got {z}")
-    step = _checked(np.array(m.entries, dtype=float), 1)
+    step = _checked(np.array(m.entries, dtype=float), m.z)
     # a fold is 0 across the blocks of its operands, so every fold keeps the step's blocks
     blocks = _blocks(step.entries)
     result = step

@@ -201,16 +201,17 @@ def relay_fold_by_loops(a, b):
 def critical_by_loops(q, tol):
     """Critical-vertex findings as (k, witnesses, partition_hint, warnings) tuples.
 
-    Plain loops: witnesses are pairs i < j with q_ij > 0 and q_ij = q_ik q_kj
-    within `tol`; the sides around k are the BFS components of the pairs whose
-    q_lm exceeds q_lk q_km by more than `tol`; warnings list the product-rule
-    residuals above `tol` between the two sides.
+    Plain loops: witnesses are pairs i < j with q_ij > tol (an entry within
+    `tol` of 0 counts as 0) and q_ij = q_ik q_kj within `tol`; the sides
+    around k are the BFS components of those pairs whose q_lm exceeds
+    q_lk q_km by more than `tol`; warnings list the product-rule residuals
+    above `tol` between the two sides.
     """
     n = len(q)
     found = []
     for k in range(n):
         others = [v for v in range(n) if v != k]
-        pairs = [(i, j) for i in others for j in others if i < j and q[i][j] > 0.0]
+        pairs = [(i, j) for i in others for j in others if i < j and q[i][j] > tol]
         witnesses = [(i, j) for i, j in pairs if abs(q[i][j] - q[i][k] * q[k][j]) <= tol]
         if not witnesses:
             continue
@@ -240,13 +241,18 @@ def rank_per_candidate(g, include_absent=False):
 
     The ranking of earlier versions: `affine_slice` of every link, each
     absent pair first added as a p = 0 link with `add_edge`, then the
-    derivative and the gain of pushing the link to 1.  Returns the entries as
-    a list of `RankedEdge`, sorted like `rank_improvements`.
+    derivative and the gain of pushing the link to 1.  The derivative is
+    the Rayleigh quotient x' slope x, summed with math.fsum, while the top
+    eigenvalue leads the next by more than 1e-8, and otherwise a central
+    difference of step 1e-5.  Returns the entries as a list of `RankedEdge`,
+    sorted like `rank_improvements`.
     """
     from probconn import add_edge, affine_slice, exact_connectivity, sym_eig
-    from probconn.sensitivity import RankedEdge, _derivative
+    from probconn.sensitivity import RankedEdge
 
     w, vecs = sym_eig(exact_connectivity(g))
+    x = vecs[:, 0]
+    simple = len(w) == 1 or w[0] - w[1] > 1e-8
     candidates = [(idx, i, j, p, g, idx) for idx, (i, j, p) in enumerate(g.edges)]
     if include_absent:
         present = {(i, j) for i, j, _ in g.edges}
@@ -257,7 +263,12 @@ def rank_per_candidate(g, include_absent=False):
     entries = []
     for edge_index, i, j, p, host, host_idx in candidates:
         slc = affine_slice(host, host_idx)
-        value, method = _derivative(w, vecs, slc.q0, slc.slope, p)
+        if simple:
+            value = math.fsum((np.outer(x, x) * slc.slope).ravel())
+            method = "rayleigh"
+        else:
+            lam_hi, lam_lo = (float(sym_eig(slc.at(p + h))[0][0]) for h in (1e-5, -1e-5))
+            value, method = (lam_hi - lam_lo) / 2e-5, "finite_difference"
         gain = float(sym_eig(slc.q1)[0][0]) - float(w[0])
         entries.append(RankedEdge(edge_index, i, j, p, value, method, 1.0 - p, gain))
     entries.sort(key=lambda e: (-e.projected_gain, e.i, e.j))

@@ -133,6 +133,16 @@ class TestFindCriticalVertices:
             reported = {f.k for f in find_critical_vertices(q)}
             assert reported == set(articulation_points(g))
 
+    def test_isolated_vertex_is_never_critical(self):
+        # a pair within tolerance of 0 is not linked, so it witnesses nothing
+        q = np.eye(3)
+        q[0, 1] = q[1, 0] = 1e-12
+        path = exact_connectivity(build_graph(4, [(0, 1, 0.9), (1, 2, 0.8)]))
+        path[0, 3] = path[3, 0] = 1e-12
+        for tolerance in TOLERANCES:
+            assert find_critical_vertices(q, tolerance) == []
+            assert [f.k for f in find_critical_vertices(path, tolerance)] == [1]
+
     def test_product_rule_spans_the_whole_split(self):
         # chain of two bridges: 0-1-2-3 with a doubled middle
         g = build_graph(4, [(0, 1, 0.9), (1, 2, 0.8), (2, 3, 0.7)])
@@ -224,7 +234,7 @@ class TestAgainstLoopReferences:
             assert violations > 0
 
     def test_critical_vertices_match_triple_loop(self, kind):
-        warnings = faint = 0
+        warnings = reported = 0
         for _, q in _reference_cases(kind):
             for tolerance in TOLERANCES:
                 findings = find_critical_vertices(q, tolerance, statistical=kind == "sampled")
@@ -233,9 +243,10 @@ class TestAgainstLoopReferences:
                 ] == critical_by_loops(q, tolerance)
                 assert all(f.statistical == (kind == "sampled") for f in findings)
                 warnings += sum(len(f.warnings) for f in findings)
-                # a faint pair is a witness of every vertex outside its block
-                faint += sum(q[f.witnesses[0]] <= tolerance for f in findings)
+                # an entry within tolerance of 0 counts as 0: such a pair is never a witness
+                assert all(q[pair] > tolerance for f in findings for pair in f.witnesses)
+                reported += len(findings)
         if kind == "sampled":
             assert warnings > 0
-        if kind == "clustered":
-            assert faint > 0
+        if kind in ("exact", "clustered"):
+            assert reported > 0

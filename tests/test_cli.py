@@ -181,6 +181,15 @@ class TestRunCommand:
         ks = [f["k"] for f in doc["critical_vertices"]]
         assert ks == [1, 2]
 
+    def test_critical_ignores_pairs_within_tolerance_of_zero(self, capsys, tmp_path):
+        # q_02 = 1e-12 and q_03 = 9e-13 are read as 0: they witness neither 1 nor the leaf 3
+        path = tmp_path / "faint.pg"
+        path.write_text("n 4\ne 0 1 1e-6\ne 1 2 1e-6\ne 2 3 0.9\n")
+        code, out, _ = _run(capsys, ["critical", "--input", str(path)])
+        assert code == 0
+        assert [(f["k"], f["witnesses"]) for f in json.loads(out)["critical_vertices"]] == [
+            (2, [[1, 3]])]
+
     def test_spectrum_document(self, capsys, triangle_file):
         code, out, _ = _run(capsys, ["spectrum", "--input", triangle_file])
         doc = json.loads(out)

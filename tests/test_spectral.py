@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from probconn import spectral as spectral_module
 from probconn import (
     CornerStructureError,
     build_graph,
@@ -128,6 +131,21 @@ class TestSpectralReport:
                 float(sym_eig(q[np.ix_(block, block)])[0][0]) for block in partition
             ]
 
+    def test_entries_across_the_partition_read_as_zero(self, monkeypatch):
+        g = build_graph(5, [(0, 1, 0.9), (1, 2, 0.9), (0, 2, 0.9), (3, 4, 0.2)])
+        q = exact_connectivity(g)
+        faint = q.copy()
+        faint[0, 3] = faint[3, 0] = 1e-12
+        faint[2, 4] = faint[4, 2] = -1e-12
+        expected = spectral_report(q, support_components(g))
+        calls = []
+        solve = spectral_module.sym_eig
+        monkeypatch.setattr(spectral_module, "sym_eig", lambda m: calls.append(1) or solve(m))
+        report = spectral_report(faint, support_components(g))
+        assert len(calls) == 1
+        for field in dataclasses.fields(report):
+            np.testing.assert_array_equal(getattr(report, field.name), getattr(expected, field.name))
+
     def test_principal_vector_positive_for_connected_network(self):
         g = build_graph(4, [(0, 1, 0.6), (1, 2, 0.7), (2, 3, 0.8), (0, 3, 0.5)])
         rep = spectral_report(exact_connectivity(g), support_components(g))
@@ -147,7 +165,9 @@ class TestSpectralReport:
 
     def test_rejects_partition_not_matching_zero_pattern(self):
         q = exact_connectivity(TRIANGLE)
-        with pytest.raises(ValueError, match="mismatch"):
+        # plain ints in the message, not numpy scalar reprs
+        with pytest.raises(ValueError, match=r"^partition/zero-pattern mismatch: entry \(0, 1\) "
+                           r"is nonzero across blocks$"):
             spectral_report(q, [[0], [1, 2]])
 
     @pytest.mark.parametrize("tolerance", [np.nan, np.inf, -1e-9])
@@ -160,6 +180,8 @@ class TestSpectralReport:
         q = exact_connectivity(TRIANGLE)
         with pytest.raises(ValueError, match="partition"):
             spectral_report(q, [[0, 1]])
+        with pytest.raises(ValueError, match="partition"):
+            spectral_report(q, [[0, 1, 2], []])
 
     def test_trace_identity_and_eigenvalue_range(self):
         rng = np.random.default_rng(13)

@@ -96,6 +96,13 @@ def test_three_step_fold_evaluates_and_stays_in_range():
     assert np.all(w3.entries >= 0.0) and np.all(w3.entries <= 1.0)
 
 
+def test_fold_keeps_the_step_count_of_its_input():
+    m = walk_matrix(build_graph(3, [(0, 1, 0.9), (1, 2, 0.8)]))
+    two = otimes(m, m)
+    assert walk_probabilities(two, 1).z == 2
+    assert walk_probabilities(two, 3).z == 6
+
+
 def test_otimes_monotone_in_inputs():
     rng = np.random.default_rng(21)
     base = rng.uniform(0.0, 0.8, size=(4, 4))

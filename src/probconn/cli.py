@@ -13,7 +13,7 @@ Subcommands:
 All subcommands read a graph file via --input and print one JSON document
 to stdout; diagnostics go to stderr.  Exit codes: 0 success, 1 stdout
 closed before the document was written, 2 bad input or usage, 3
-enumeration limit exceeded (switch to `mc`).
+enumeration limit exceeded (switch to `mc`) or out of memory.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def _tolerance(args, default: float) -> float:
 
 
 def _q_section(g: ProbGraph, q, est, args) -> dict:
-    return {"q": q.tolist()}
+    return {"q": q}
 
 
 def _spectrum_section(g: ProbGraph, q, est, args) -> dict:
@@ -132,8 +132,8 @@ def _bounds_section(g: ProbGraph, q, est, args) -> dict:
     report = compute_bounds(adjacency_matrix(g), q, _tolerance(args, _DEFAULT_BOUNDS_TOL))
     return {
         "bounds": {
-            "lower": report.lower.tolist(),
-            "upper": report.upper.tolist(),
+            "lower": report.lower,
+            "upper": report.upper,
             "tolerance": report.tolerance,
             "violations": [v._asdict() for v in report.violations],
             "unconstrained_pairs": report.unconstrained_pairs,
@@ -158,7 +158,7 @@ def _critical_section(g: ProbGraph, q, est, args) -> dict:
 
 
 def _mc_section(g: ProbGraph, q, est, args) -> dict:
-    return {"mc": {"samples": est.samples, "seed": est.seed, "std_err": est.std_err.tolist()}}
+    return {"mc": {"samples": est.samples, "seed": est.seed, "std_err": est.std_err}}
 
 
 # The document sections of each subcommand that analyzes a connectivity
@@ -217,13 +217,14 @@ def run_command(argv: list[str]) -> int:
         elif args.command == "walk":
             walked = walk_probabilities(walk_matrix(g), args.z)
             doc["z"] = walked.z
-            doc["walk"] = walked.entries.tolist()
+            doc["walk"] = walked.entries
         else:  # rank
             ranking = rank_improvements(g, args.include_absent, args.max_edges)
             doc["engine"] = "exact"
             doc["lambda_max"] = ranking.lambda_max
             doc["include_absent"] = args.include_absent
             doc["ranking"] = [vars(e) for e in ranking.entries]
+        text = to_json(doc, pretty=args.pretty)
     except EdgeLimitExceeded as exc:
         print(
             f"probconn: {exc}\nprobconn: try the `mc` subcommand for graphs "
@@ -231,8 +232,15 @@ def run_command(argv: list[str]) -> int:
             file=sys.stderr,
         )
         return 3
+    except MemoryError:
+        print(
+            f"probconn: out of memory on a graph with n={g.n} and m={g.m}: every "
+            f"result holds n x n matrices, so try a graph with fewer vertices",
+            file=sys.stderr,
+        )
+        return 3
 
-    print(to_json(doc, pretty=args.pretty))
+    print(text)
     return 0
 
 

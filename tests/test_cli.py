@@ -294,6 +294,22 @@ class TestRunCommand:
         walked = walk_probabilities(walk_matrix(g), 3)
         assert np.array_equal(np.array(json.loads(out)["walk"]), walked.entries)
 
+    @pytest.mark.parametrize("command", [
+        ["compute"], ["mc", "--samples", "500", "--seed", "3"], ["bounds"], ["spectrum"],
+        ["critical"], ["walk", "--z", "3"], ["rank", "--include-absent"],
+    ])
+    def test_documents_are_the_bytes_of_json_dumps(self, capsys, tmp_path, command):
+        # sure links in two components, a third component and an isolated vertex:
+        # block zeros, exact ones and repeated values in every matrix
+        path = tmp_path / "parts.pg"
+        path.write_text("n 10\ne 0 1 1\ne 1 2 0.6\ne 2 3 1\ne 0 3 0.6\ne 4 5 0.7\n"
+                        "e 5 6 1\ne 4 6 0.2\ne 7 8 0.35\n")
+        for pretty, options in (([], {"separators": (",", ":")}), (["--pretty"], {"indent": 2})):
+            code, out, _ = _run(capsys, [*command, "--input", str(path), *pretty])
+            assert code == 0
+            # floats round-trip, so the stdlib re-serializes the very same text
+            assert out == json.dumps(json.loads(out), **options) + "\n"
+
     def test_non_utf8_file_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.pg"
         bad.write_bytes(b"n 2\ne 0 1 0.5\n\xff\xfe\n")
@@ -431,6 +447,24 @@ class TestRunCommand:
         assert code == 3
         assert out == ""
         assert "mc" in err
+
+    @pytest.mark.parametrize("command, engine", [
+        (["compute"], "exact_connectivity"),
+        (["mc", "--samples", "100"], "mc_connectivity"),
+        (["walk", "--z", "3"], "walk_probabilities"),
+        (["rank"], "rank_improvements"),
+    ])
+    def test_out_of_memory_exits_3_with_one_line(self, capsys, monkeypatch, triangle_file,
+                                                 command, engine):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, engine, exhausted)
+        code, out, err = _run(capsys, [*command, "--input", triangle_file])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("probconn: out of memory") and err.count("\n") == 1
+        assert "n=3" in err and "m=3" in err and "fewer vertices" in err
 
     def test_candidate_links_do_not_count_toward_edge_limit(self, capsys, tmp_path):
         path = tmp_path / "p3.pg"

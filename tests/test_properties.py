@@ -4,9 +4,11 @@ Examples are derandomized, so every run checks the same graphs and tier-1
 stays deterministic.
 """
 
+import json
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,7 @@ from probconn import (
     otimes,
     parse_graph_file,
     support_components,
+    to_json,
     walk_probabilities,
 )
 from probconn import graph as graph_module
@@ -209,3 +212,76 @@ def test_relay_folds_match_loop_oracle(operands, z):
     for _ in range(z - 1):
         expected = relay_fold_by_loops(expected, a)
     np.testing.assert_array_equal(walk_probabilities(WalkMatrix(a), z).entries, expected)
+
+
+# the signed zero, the smallest subnormal, a huge value, an integer-valued
+# float past 2^53, an inexact decimal and 1, besides integer-valued floats
+# and any finite double
+JSON_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e308, 1e16, 0.1, 1.0]),
+    st.integers(-(2**60), 2**60).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def float_arrays(draw, elements=JSON_FLOATS):
+    """Float arrays of shape (), (k,), (k, j) or (k, k), k and j from 0 up, some symmetric."""
+    k = draw(st.integers(0, 6))
+    shape = draw(st.sampled_from([(), (k,), (k, k), (k, draw(st.integers(0, 6)))]))
+    a = np.reshape(draw(st.lists(elements, min_size=int(np.prod(shape)),
+                                 max_size=int(np.prod(shape)))), shape).astype(np.float64)
+    if len(shape) == 2 and shape[0] == shape[1] and draw(st.booleans()):
+        a = np.triu(a) + np.triu(a, 1).T
+    return a
+
+
+def _listed(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _listed(item) for key, item in value.items()}
+    return value
+
+
+@st.composite
+def array_documents(draw):
+    """An array alone, or a dict holding arrays at its top level and inside a nested dict."""
+    if draw(st.booleans()):
+        return draw(float_arrays())
+    return {
+        "n": draw(st.integers(0, 9)),
+        "q": draw(float_arrays()),
+        "name": draw(st.text(max_size=4)),
+        "bounds": {"lower": draw(float_arrays()), "upper": draw(float_arrays()),
+                   "tolerance": draw(JSON_FLOATS), "violations": [], "empty": {}},
+        "eigenvalues": draw(st.lists(JSON_FLOATS, max_size=3)),
+        "walk": draw(float_arrays()),
+    }
+
+
+@_settings(200)
+@given(array_documents())
+@example(np.zeros((0,)))
+@example(np.zeros((0, 0)))
+@example({"q": np.array([[1.0, -0.0], [-0.0, 1.0]]), "bounds": {"lower": np.zeros((1, 1))}})
+def test_to_json_writes_the_bytes_of_json_dumps(document):
+    listed = _listed(document)
+    assert to_json(document) == json.dumps(listed, separators=(",", ":"))
+    assert to_json(document, pretty=True) == json.dumps(listed, indent=2)
+
+
+@_settings(100)
+@given(float_arrays(elements=st.floats(-1.0, 1.0)),
+       st.sampled_from([float("nan"), float("inf"), float("-inf")]), st.data())
+def test_to_json_refuses_non_finite_and_non_float_arrays(a, bad, data):
+    if a.size:
+        a.flat[data.draw(st.integers(0, a.size - 1))] = bad
+        for document in (a, {"bounds": {"lower": a}}):
+            for pretty in (False, True):
+                with pytest.raises(ValueError, match="non-finite number in JSON document"):
+                    to_json(document, pretty)
+    counts = np.zeros(a.shape, dtype=np.int64)
+    for document in (counts, {"q": counts}):
+        with pytest.raises(TypeError):
+            to_json(document)

@@ -232,57 +232,57 @@ def _forced_block_sums(
 
 def _forced_link_slices(
     g: ProbGraph, q: np.ndarray, pairs: Sequence[tuple[int, int]]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Connectivity matrices with the link on each vertex pair forced off and on.
+) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
+    """Blocks of the connectivity matrix with the link on each vertex pair forced off and on.
 
     `q` is exact_connectivity(g) and `pairs` lists vertex pairs (i, j),
-    i < j.  Yields (q0, q1) per pair, in order: `g` with the link on the
-    pair at probability 0 and at probability 1, whether `g` holds that link
-    or not.  Each support component is enumerated once for all its pairs
-    (see :func:`_forced_block_sums`), at any edge count.  Where the pair
-    holds no link with p > 0, q0 is `q` itself.  A link joining two
-    components A and B sets q1[i, j] = q[i, a] * q[b, j] for i in A and j in
-    B, since the two sides are independent; it changes nothing else.
+    i < j.  Yields (verts, q0, q1) per pair, in order: `g` with the link on
+    the pair at probability 0 and 1, whether `g` holds that link or not, on
+    `verts`, i's support component followed by j's if that is another one;
+    outside verts x verts both equal `q`.  Each component is enumerated once
+    for all its pairs (see :func:`_forced_block_sums`), at any edge count.
+    Where the pair holds no link with p > 0, q0 is `q`'s block.  A link
+    joining i's component A to j's B sets q1[u, v] = q[u, i] * q[j, v] for u
+    in A and v in B, since the two sides are independent.
     """
     blocks, position, links = _support_links(g)
     live = {
-        (blocks[b][u], blocks[b][v]): (b, e)
+        (blocks[b][u], blocks[b][v]): e
         for b, edges in enumerate(links)
         for e, (u, v, _) in enumerate(edges)
     }
-    inside: dict[tuple[int, int], tuple[int, int]] = {}  # no live link, one component
+    inside: dict[tuple[int, int], int] = {}  # no live link, one component
     extra: list[list[tuple[int, int]]] = [[] for _ in blocks]
     for i, j in pairs:
         (b, li), (c, lj) = position[i], position[j]
         if b == c and (i, j) not in live:
-            inside[i, j] = (b, len(extra[b]))
+            inside[i, j] = len(extra[b])
             extra[b].append((li, lj))
     sums = [
         _forced_block_sums(len(verts), edges, more) if edges else None
         for verts, edges, more in zip(blocks, links, extra)
     ]
+    own = [q[np.ix_(verts, verts)] for verts in blocks]
+    upper = [_upper_pairs(len(verts)) for verts in blocks]
 
-    # each component's pairs in _upper_pairs order, as rows and columns of q
-    targets = [np.array(verts)[np.stack(_upper_pairs(len(verts)))] for verts in blocks]
-
-    def with_block(b: int, values: np.ndarray) -> np.ndarray:
-        out = q.copy()
-        rows, cols = targets[b]
-        out[rows, cols] = out[cols, rows] = values
+    def with_pairs(b: int, values: np.ndarray) -> np.ndarray:  # in _upper_pairs order
+        out = own[b].copy()
+        out[upper[b]] = out.T[upper[b]] = values
         return out
 
     for i, j in pairs:
+        (b, li), (c, lj) = position[i], position[j]
         if (i, j) in live:
-            b, e = live[i, j]
-            yield with_block(b, sums[b][0][e]), with_block(b, sums[b][1][e])
-        elif (i, j) in inside:
-            b, c = inside[i, j]
-            rows, cols = targets[b]
-            yield q, with_block(b, np.minimum(q[rows, cols] + sums[b][2][c], 1.0))
+            e = live[i, j]
+            yield blocks[b], with_pairs(b, sums[b][0][e]), with_pairs(b, sums[b][1][e])
+        elif b == c:
+            joined = np.minimum(own[b][upper[b]] + sums[b][2][inside[i, j]], 1.0)
+            yield blocks[b], own[b], with_pairs(b, joined)
         else:
-            side_a, side_b = np.array(blocks[position[i][0]]), np.array(blocks[position[j][0]])
-            joined = np.outer(q[side_a, i], q[j, side_b])
-            q1 = q.copy()
-            q1[np.ix_(side_a, side_b)] = joined
-            q1[np.ix_(side_b, side_a)] = joined.T
-            yield q, q1
+            size = len(blocks[b])
+            q0 = np.zeros((size + len(blocks[c]),) * 2)
+            q0[:size, :size], q0[size:, size:] = own[b], own[c]
+            q1 = q0.copy()
+            q1[:size, size:] = np.outer(own[b][:, li], own[c][lj])
+            q1[size:, :size] = q1[:size, size:].T
+            yield blocks[b] + blocks[c], q0, q1

@@ -8,9 +8,9 @@ that line the largest eigenvalue has derivative x' * slope * x at the
 current point whenever it is simple, with x the unit principal eigenvector.
 Ranking links by the eigenvalue gain realized at t = 1 answers "which link
 upgrade buys the most quality".  :func:`affine_slice` evaluates one link
-with two exact evaluations; :func:`rank_improvements` takes every link's
-q0 and q1 from one enumeration per support component, and the top
-eigenvalue of q1 from the block that the link changes, solved in stacks.
+with two exact evaluations; :func:`rank_improvements` takes each link's
+q0 and q1 on the block it changes (its endpoints' support components) from
+one enumeration per component, and works on that block alone.
 """
 
 from __future__ import annotations
@@ -91,16 +91,18 @@ def affine_slice(g: ProbGraph, edge: int, max_edges: int = DEFAULT_MAX_EDGES) ->
 
 
 def _derivative(
-    w: np.ndarray, vecs: np.ndarray, q0: np.ndarray, slope: np.ndarray, current: float
+    w: np.ndarray, vecs: np.ndarray, verts: list[int], q0: np.ndarray, slope: np.ndarray, p: float
 ) -> tuple[float, str]:
-    n = len(w)
-    gap = float(w[0] - w[1]) if n > 1 else np.inf
+    """d lambda_max / dt at t = p of Q with its block on `verts` set to q0 + t * slope,
+    where (w, vecs) = sym_eig(Q)."""
+    gap = float(w[0] - w[1]) if len(w) > 1 else np.inf
     if gap > _SIMPLE_GAP:
-        x = vecs[:, 0]
+        x = vecs[verts, 0]
         return float(x @ slope @ x), "rayleigh"
+    # the top eigenvalue off `verts`: sym_eig's eigenvectors are zero outside their block
+    rest = float(w[~vecs[verts].any(axis=0)].max(initial=0.0))
     h = _FD_STEP
-    lam_hi = float(sym_eig(q0 + (current + h) * slope)[0][0])
-    lam_lo = float(sym_eig(q0 + (current - h) * slope)[0][0])
+    lam_hi, lam_lo = (max(float(sym_eig(q0 + (p + d) * slope)[0][0]), rest) for d in (h, -h))
     return (lam_hi - lam_lo) / (2.0 * h), "finite_difference"
 
 
@@ -128,7 +130,7 @@ def lambda_derivative(
     slc = affine_slice(g, edge, max_edges)
     p = g.edges[edge][2]
     w, vecs = sym_eig(slc.at(p))  # Q itself, by the affine identity
-    value, method = _derivative(w, vecs, slc.q0, slc.slope, p)
+    value, method = _derivative(w, vecs, list(range(g.n)), slc.q0, slc.slope, p)
     return EdgeDerivative(edge=edge, value=value, method=method)
 
 
@@ -143,7 +145,8 @@ def rank_improvements(
     missing vertex pair is tried as a candidate new link as well.  The
     matrices with each link forced off and on come from one enumeration per
     support component; candidate links do not count toward `max_edges`.  A
-    link changes Q only inside its endpoints' components: only that block is solved.
+    link changes Q only inside its endpoints' components: its derivative and
+    its top eigenvalue are solved on that block alone.
     Entries are sorted by projected gain, ties broken by the (i, j) pair, so
     the ranking is deterministic.
     """
@@ -160,24 +163,19 @@ def rank_improvements(
             if (i, j) not in present
         ]
 
-    # candidates go by the size of the block they change, so that equal sizes stack
     comps = support_components(g)
     comp_of = {v: c for c, verts in enumerate(comps) for v in verts}
-
-    def span(i: int, j: int) -> list[int]:
-        return sorted({*comps[comp_of[i]], *comps[comp_of[j]]})
-
     top = list(_top_eigenvalues(q_now[np.ix_(verts, verts)] for verts in comps))
     by_top = sorted(range(len(comps)), key=lambda c: -top[c])
-    candidates.sort(key=lambda c: len(span(c[1], c[2])))
+    # candidates go by the size of the block they change, so that equal sizes stack
+    candidates.sort(key=lambda c: sum(len(comps[k]) for k in {comp_of[c[1]], comp_of[c[2]]}))
     derivatives: deque[tuple[float, str]] = deque()  # of the blocks not yet solved
 
     def changed_blocks() -> Iterator[np.ndarray]:
         pairs = [(i, j) for _, i, j, _ in candidates]
-        for (_, i, j, p), (q0, q1) in zip(candidates, _forced_link_slices(g, q_now, pairs)):
-            derivatives.append(_derivative(w, vecs, q0, q1 - q0, p))
-            verts = span(i, j)
-            yield q1[np.ix_(verts, verts)]
+        for (_, _, _, p), (verts, q0, q1) in zip(candidates, _forced_link_slices(g, q_now, pairs)):
+            derivatives.append(_derivative(w, vecs, verts, q0, q1 - q0, p))
+            yield q1
 
     entries = []
     for (edge_index, i, j, p), lam in zip(candidates, _top_eigenvalues(changed_blocks())):

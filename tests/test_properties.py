@@ -93,10 +93,15 @@ def test_affine_slice_passes_through_the_matrix(data):
 @example(EXTREMES)
 @example(CONTRACTED)
 def test_forced_link_slices_match_enumeration_oracle(g):
-    # every vertex pair: a link is set to 0 and to 1, an absent pair stays out or is added at 1
+    # every vertex pair: a link is set to 0 and to 1, an absent pair stays out or is added at 1;
+    # only the block on i's support component, then j's if that is another one, may change
     pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
     slices = _forced_link_slices(g, exact_connectivity(g), pairs)
-    for (i, j), (q0, q1) in zip(pairs, slices):
+    q = connectivity_by_enumeration(g.n, g.edges)
+    comps = components_and_cut_vertices(g.n, [(i, j) for i, j, p in g.edges if p > 0.0])[0]
+    comp_of = {v: comp for comp in comps for v in comp}
+    for (i, j), (verts, q0, q1) in zip(pairs, slices):
+        assert verts == comp_of[i] + (comp_of[j] if comp_of[j] != comp_of[i] else [])
         if (i, j) in {e[:2] for e in g.edges}:
             ref0, ref1 = (
                 connectivity_by_enumeration(g.n, [(u, v, t if (u, v) == (i, j) else p)
@@ -104,10 +109,14 @@ def test_forced_link_slices_match_enumeration_oracle(g):
                 for t in (0.0, 1.0)
             )
         else:
-            ref0 = connectivity_by_enumeration(g.n, g.edges)
+            ref0 = q
             ref1 = connectivity_by_enumeration(g.n, [*g.edges, (i, j, 1.0)])
-        np.testing.assert_allclose(q0, ref0, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(q1, ref1, rtol=0, atol=1e-12)
+        outside = np.ones((g.n, g.n), dtype=bool)
+        outside[np.ix_(verts, verts)] = False
+        np.testing.assert_allclose(ref0[outside], q[outside], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ref1[outside], q[outside], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(q0, ref0[np.ix_(verts, verts)], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(q1, ref1[np.ix_(verts, verts)], rtol=0, atol=1e-12)
 
 
 @_settings(60)
@@ -127,12 +136,14 @@ def test_results_do_not_depend_on_the_slice_size(g, seed):
     for q, slices, est in runs:
         np.testing.assert_allclose(q, runs[0][0], rtol=0, atol=1e-14)
         np.testing.assert_allclose(q, ref, rtol=0, atol=1e-13)
-        for pair, (q0, q1), (r0, r1) in zip(pairs, slices, runs[0][1]):
+        for pair, (verts, q0, q1), (ref_verts, r0, r1) in zip(pairs, slices, runs[0][1]):
+            assert verts == ref_verts
             np.testing.assert_allclose(q0, r0, rtol=0, atol=1e-14)
             np.testing.assert_allclose(q1, r1, rtol=0, atol=1e-14)
             if pair in probability:  # Q is affine in each link's probability
                 p = probability[pair]
-                np.testing.assert_allclose(p * q1 + (1 - p) * q0, ref, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(
+                    p * q1 + (1 - p) * q0, ref[np.ix_(verts, verts)], rtol=0, atol=1e-13)
         assert np.array_equal(est.q_hat, runs[0][2].q_hat)
         assert np.array_equal(est.std_err, runs[0][2].std_err)
 

@@ -181,8 +181,12 @@ class TestRankImprovements:
 
 def _reference_graphs():
     """Seeded graphs with p = 0 and p = 1 links, most of them disconnected,
-    plus twin components (a tied top eigenvalue) and a p = 0 bridge."""
+    plus twin components (a tied top eigenvalue), a p = 0 bridge, and two and
+    three identical triangles.  On the triangles every candidate takes the
+    finite difference, and on one side of it the top eigenvalue outside the
+    changed block decides."""
     rng = np.random.default_rng(53)
+    triangle = [(0, 1, 0.6), (1, 2, 0.7), (0, 2, 0.8)]
     graphs = [
         build_graph(4, [(0, 1, 0.5), (2, 3, 0.5)]),
         build_graph(5, [(0, 1, 1.0), (1, 2, 0.6), (2, 3, 0.0), (3, 4, 0.7)]),
@@ -193,7 +197,10 @@ def _reference_graphs():
             build_graph(g.n, [(i, j, float(rng.choice([0.0, 1.0, p], p=[0.2, 0.2, 0.6])))
                               for i, j, p in g.edges])
         )
-    return graphs
+    return graphs + [
+        build_graph(3 * k, [(3 * c + i, 3 * c + j, p) for c in range(k) for i, j, p in triangle])
+        for k in (2, 3)
+    ]
 
 
 class TestOnePassRanking:
@@ -229,7 +236,8 @@ class TestOnePassRanking:
                 for g in graphs
             ])
         for default, small in zip(*runs):
-            for (q0, q1), (r0, r1) in zip(default, small):
+            for (verts, q0, q1), (ref_verts, r0, r1) in zip(default, small):
+                assert ref_verts == verts
                 np.testing.assert_allclose(r0, q0, rtol=0, atol=1e-14)
                 np.testing.assert_allclose(r1, q1, rtol=0, atol=1e-14)
 

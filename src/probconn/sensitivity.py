@@ -8,9 +8,10 @@ that line the largest eigenvalue has derivative x' * slope * x at the
 current point whenever it is simple, with x the unit principal eigenvector.
 Ranking links by the eigenvalue gain realized at t = 1 answers "which link
 upgrade buys the most quality".  :func:`affine_slice` evaluates one link
-with two exact evaluations; :func:`rank_improvements` takes each link's
-q0 and q1 on the block it changes (its endpoints' support components) from
-one enumeration per component, and works on that block alone.
+with two exact evaluations; :func:`rank_improvements` takes the matrix
+itself and each link's q0 and q1 on the block it changes (its endpoints'
+support components) from one enumeration per component, and works on that
+block alone.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def rank_improvements(
     """Rank link upgrades by the quality gain of pushing each link to 1.
 
     Every existing edge is evaluated; with include_absent=True every
-    missing vertex pair is tried as a candidate new link as well.  The
+    missing vertex pair is tried as a candidate new link as well.  Q and the
     matrices with each link forced off and on come from one enumeration per
     support component; candidate links do not count toward `max_edges`.  A
     link changes Q only inside its endpoints' components: its derivative and
@@ -150,9 +151,6 @@ def rank_improvements(
     Entries are sorted by projected gain, ties broken by the (i, j) pair, so
     the ranking is deterministic.
     """
-    q_now = exact_connectivity(g, max_edges)
-    w, vecs = sym_eig(q_now)
-
     candidates = [(idx, i, j, p) for idx, (i, j, p) in enumerate(g.edges)]
     if include_absent:
         present = {(i, j) for i, j, _ in g.edges}
@@ -165,15 +163,16 @@ def rank_improvements(
 
     comps = support_components(g)
     comp_of = {v: c for c, verts in enumerate(comps) for v in verts}
-    top = list(_top_eigenvalues(q_now[np.ix_(verts, verts)] for verts in comps))
-    by_top = sorted(range(len(comps)), key=lambda c: -top[c])
     # candidates go by the size of the block they change, so that equal sizes stack
     candidates.sort(key=lambda c: sum(len(comps[k]) for k in {comp_of[c[1]], comp_of[c[2]]}))
+    q_now, slices = _forced_link_slices(g, [(i, j) for _, i, j, _ in candidates], max_edges)
+    w, vecs = sym_eig(q_now)
+    top = list(_top_eigenvalues(q_now[np.ix_(verts, verts)] for verts in comps))
+    by_top = sorted(range(len(comps)), key=lambda c: -top[c])
     derivatives: deque[tuple[float, str]] = deque()  # of the blocks not yet solved
 
     def changed_blocks() -> Iterator[np.ndarray]:
-        pairs = [(i, j) for _, i, j, _ in candidates]
-        for (_, _, _, p), (verts, q0, q1) in zip(candidates, _forced_link_slices(g, q_now, pairs)):
+        for (_, _, _, p), (verts, q0, q1) in zip(candidates, slices):
             derivatives.append(_derivative(w, vecs, verts, q0, q1 - q0, p))
             yield q1
 

@@ -82,14 +82,15 @@ def _traced_peak(run):
 class TestStateWeights:
     def test_weights_are_the_state_probabilities(self):
         g = build_graph(4, [(0, 1, 0.3), (1, 2, 0.9), (2, 3, 1 / 3), (0, 3, 0.0), (0, 2, 1.0)])
-        w = _state_weights([p for _, _, p in g.edges])
+        p = np.array([p for _, _, p in g.edges])
+        w = _state_weights(p, 1 - p)
         for mask in range(1 << g.m):
             bits = [(mask >> k) & 1 for k in range(g.m)]
             assert w[mask] == state_probability(g, bits)  # same products, same order
 
     def test_table_is_built_in_place(self):
         probs = np.linspace(0.05, 0.95, 20)
-        peak = _traced_peak(lambda: _state_weights(probs))
+        peak = _traced_peak(lambda: _state_weights(probs, 1 - probs))
         assert peak <= 1.1 * (8 << 20), peak  # the 2^20 float64 table itself
 
 
@@ -179,8 +180,22 @@ class TestStreamedEnumeration:
 
     def test_forced_link_slices_memory(self):
         assert _traced_peak(lambda: rank_improvements(M20)) < 2 << 20
-        # 25 absent candidates: shorter runs, and no table of the high links' factors
+        # 25 absent candidates, each merged on a copy of one run's labels at a time
         assert _traced_peak(lambda: rank_improvements(M20, include_absent=True)) < 2 << 20
+
+    def test_absent_candidates_do_not_shorten_the_runs(self, monkeypatch):
+        sizes = []
+
+        def sized(n, eu, ev, state_bytes):  # records each pass's state bytes, enumerates nothing
+            sizes.append(state_bytes)
+            return iter(())
+
+        monkeypatch.setattr(exact_module, "_prefix_labels", sized)
+        rank_improvements(M20)
+        live = sizes.copy()
+        sizes.clear()
+        rank_improvements(M20, include_absent=True)
+        assert sizes == live
 
 
 class TestExactInvariants:

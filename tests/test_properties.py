@@ -96,8 +96,9 @@ def test_forced_link_slices_match_enumeration_oracle(g):
     # every vertex pair: a link is set to 0 and to 1, an absent pair stays out or is added at 1;
     # only the block on i's support component, then j's if that is another one, may change
     pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
-    slices = _forced_link_slices(g, exact_connectivity(g), pairs)
+    forced_q, slices = _forced_link_slices(g, pairs)
     q = connectivity_by_enumeration(g.n, g.edges)
+    np.testing.assert_allclose(forced_q, q, rtol=0, atol=1e-12)
     comps = components_and_cut_vertices(g.n, [(i, j) for i, j, p in g.edges if p > 0.0])[0]
     comp_of = {v: comp for comp in comps for v in comp}
     for (i, j), (verts, q0, q1) in zip(pairs, slices):
@@ -129,14 +130,16 @@ def test_results_do_not_depend_on_the_slice_size(g, seed):
     runs = []
     for size in [1, 200, 4096, graph_module._SLICE_BYTES]:
         with patch.object(graph_module, "_SLICE_BYTES", size):
-            q = exact_connectivity(g)
-            runs.append((q, list(_forced_link_slices(g, q, pairs)), mc_connectivity(g, 300, seed)))
+            forced_q, slices = _forced_link_slices(g, pairs)
+            est = mc_connectivity(g, 300, seed)
+            runs.append((exact_connectivity(g), forced_q, list(slices), est))
     ref = connectivity_by_enumeration(g.n, g.edges)
     probability = {(i, j): p for i, j, p in g.edges}
-    for q, slices, est in runs:
-        np.testing.assert_allclose(q, runs[0][0], rtol=0, atol=1e-14)
-        np.testing.assert_allclose(q, ref, rtol=0, atol=1e-13)
-        for pair, (verts, q0, q1), (ref_verts, r0, r1) in zip(pairs, slices, runs[0][1]):
+    for q, forced_q, slices, est in runs:
+        for a, a0 in [(q, runs[0][0]), (forced_q, runs[0][1])]:
+            np.testing.assert_allclose(a, a0, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(a, ref, rtol=0, atol=1e-13)
+        for pair, (verts, q0, q1), (ref_verts, r0, r1) in zip(pairs, slices, runs[0][2]):
             assert verts == ref_verts
             np.testing.assert_allclose(q0, r0, rtol=0, atol=1e-14)
             np.testing.assert_allclose(q1, r1, rtol=0, atol=1e-14)
@@ -144,8 +147,8 @@ def test_results_do_not_depend_on_the_slice_size(g, seed):
                 p = probability[pair]
                 np.testing.assert_allclose(
                     p * q1 + (1 - p) * q0, ref[np.ix_(verts, verts)], rtol=0, atol=1e-13)
-        assert np.array_equal(est.q_hat, runs[0][2].q_hat)
-        assert np.array_equal(est.std_err, runs[0][2].std_err)
+        assert np.array_equal(est.q_hat, runs[0][3].q_hat)
+        assert np.array_equal(est.std_err, runs[0][3].std_err)
 
 
 @_settings(60)

@@ -18,7 +18,7 @@ from probconn import graph as graph_module
 from probconn import sensitivity as sensitivity_module
 from probconn.exact import _forced_link_slices
 from graphgen import random_connected_graph, random_graph
-from oracles import rank_per_candidate
+from oracles import connectivity_by_enumeration, rank_per_candidate
 
 PATH3 = build_graph(3, [(0, 1, 0.9), (1, 2, 0.8)])
 TRIANGLE = build_graph(3, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)])
@@ -62,6 +62,8 @@ class TestAffineSlice:
     def test_propagates_edge_limit(self):
         with pytest.raises(EdgeLimitExceeded):
             affine_slice(TRIANGLE, 0, max_edges=2)
+        with pytest.raises(EdgeLimitExceeded):
+            rank_improvements(TRIANGLE, max_edges=2)
 
 
 class TestLambdaDerivative:
@@ -226,13 +228,30 @@ class TestOnePassRanking:
                     gap = by_pair[first.i, first.j].projected_gain - by_pair[later.i, later.j].projected_gain
                     assert abs(gap) <= 1e-12
 
+    def test_takes_q_from_the_forced_pass(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return exact_connectivity(*args, **kwargs)
+
+        monkeypatch.setattr(sensitivity_module, "exact_connectivity", counted)
+        for g in _reference_graphs():
+            rank_improvements(g, include_absent=True)
+        assert calls == []  # one enumeration per component gives Q and every slice
+
+    def test_lambda_max_matches_enumeration_oracle(self):
+        for g in _reference_graphs():
+            top = np.linalg.eigvalsh(connectivity_by_enumeration(g.n, g.edges))[-1]
+            assert rank_improvements(g).lambda_max == pytest.approx(top, rel=0, abs=1e-12)
+
     def test_slices_do_not_depend_on_slice_or_chunk_boundaries(self, monkeypatch):
         graphs = _reference_graphs()
         runs = []
         for slice_bytes in [graph_module._SLICE_BYTES, 200]:
             monkeypatch.setattr(graph_module, "_SLICE_BYTES", slice_bytes)
             runs.append([
-                list(_forced_link_slices(g, exact_connectivity(g), list(itertools.combinations(range(g.n), 2))))
+                list(_forced_link_slices(g, list(itertools.combinations(range(g.n), 2)))[1])
                 for g in graphs
             ])
         for default, small in zip(*runs):

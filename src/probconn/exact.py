@@ -2,17 +2,19 @@
 
 Every subset of the possible edges is a state.  A state's probability is
 the product of independent per-link factors, and the connectivity it
-induces is a plain reachability question on a deterministic graph.  The
+induces depends only on the vertex partition into its components.  The
 path-probability matrix is the state-probability-weighted sum of the
-per-state connectivity indicators.
+per-state connectivity indicators, so states of one partition are summed
+before any indicator is formed.
 
 Links with p = 0 are left out and sure links (p = 1) contracted: only the
 links between the vertex classes that sure links join are enumerated, on
-one vertex per class.  A state is a bitmask whose bit k switches link k on.
-States come in ascending runs of 2^t that share their high links
-(:func:`probconn.graph._prefix_labels`).  A state's weight is its low
-links' weight (a table of 2^t) times its run's (a table of 2^(m - t)), and
-a run's pair sums are one gemv, added in a fixed order: bit-identical output.
+one vertex per class.  :func:`probconn.graph._prefix_labels` adds the links
+in order to a table of label rows and summed weights, merges equal rows
+when the table fills its slice, and walks the links that still do not fit
+depth first in runs (the set-partition recursion of Hardy, Lucet and
+Limnios, IEEE Trans. Reliab. 56(3), 2007, for all pairs at once).  A run's
+pair sums are one gemv, added in a fixed order: bit-identical output.
 Enumeration runs independently inside each support component; entries
 across components are exactly zero by construction.
 
@@ -22,8 +24,8 @@ of the matrix and every link's matrices with that link forced off and on
 
 This is deliberately the brute-force definition: it serves as the trusted
 reference the sampling engine and all analyses are checked against.  Cost
-is exponential in the largest component's edge count, which is why both
-passes enforce a per-component edge limit.
+grows exponentially with the largest component's edge count, which is why
+both passes enforce a per-component edge limit.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ __all__ = [
     "state_probability",
 ]
 
-# 2^22 states per component (about 0.2 s, under 1 MB of working memory) is the
-# practical ceiling for exhaustive enumeration; past it Monte Carlo takes over.
+# 22 links per component (2^22 states, 0.1-0.2 s at 10 vertices in about 1 MiB of
+# working memory) is the practical ceiling for enumeration; past it Monte Carlo takes over.
 DEFAULT_MAX_EDGES = 22
 
 
@@ -94,16 +96,6 @@ def state_probability(g: ProbGraph, state: Sequence[int]) -> float:
     return prob
 
 
-def _state_weights(on: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Weights of all 2^m states, indexed by edge bitmask: products over the links k in order
-    of on[k] or off[k] (scalars, or rows of per-column factors) as bit k is set or not."""
-    w = np.ones((1 << len(on),) + np.shape(on)[1:])
-    for k in range(len(on)):  # in place: the table is the only allocation
-        np.multiply(w[: 1 << k], on[k], out=w[1 << k : 2 << k])
-        w[: 1 << k] *= off[k]
-    return w
-
-
 def _enumerate_block(nverts: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
     """Exact connectivity matrix of one component by full state enumeration
     of the links between the classes of vertices that its sure links join."""
@@ -114,15 +106,12 @@ def _enumerate_block(nverts: int, edges: list[tuple[int, int, float]]) -> np.nda
         return np.ones((nverts, nverts))
     eu, ev, probs = (np.array(column) for column in zip(*between))
     pair_i, pair_j = _upper_pairs(len(classes))
-    state_bytes = 12 * len(pair_i) + len(classes) * (len(eu) + 1)  # indicators, walk labels
+    state_bytes = 12 * len(pair_i) + 24 + len(classes) * (len(eu) + 2)  # indicators, table, walk
     sums = np.zeros(len(pair_i))
-    for lo, lab in _prefix_labels(len(classes), eu, ev, state_bytes):
-        if lo == 0:  # the first run's width 2^t splits low links from high ones
-            t = lab.shape[1].bit_length() - 1
-            base_w, high_w = (_state_weights(p, 1.0 - p) for p in (probs[:t], probs[t:]))
-        sums += ((lab[pair_i] == lab[pair_j]) @ base_w) * high_w[lo >> t]
+    for lab, w, factor in _prefix_labels(len(classes), eu, ev, probs, 1.0 - probs, state_bytes):
+        sums += ((lab[pair_i] == lab[pair_j]) @ w) * factor
     cq = _pair_matrix(len(classes), np.minimum(sums, 1.0))  # sums can overshoot 1 by an ulp
-    return cq[np.ix_(rep, rep)]
+    return cq if len(classes) == nverts else cq[np.ix_(rep, rep)]
 
 
 def _support_links(
@@ -164,16 +153,12 @@ def exact_connectivity(g: ProbGraph, max_edges: int = DEFAULT_MAX_EDGES) -> np.n
     with p > 0, sure ones included; the Monte Carlo engine is the fallback.
     """
     blocks, _, links = _support_links(g, max_edges)
+    if len(blocks) == 1:  # one component: its block is the matrix
+        return _enumerate_block(g.n, links[0])
     q = np.zeros((g.n, g.n))
     for verts, edges in zip(blocks, links):
         q[np.ix_(verts, verts)] = _enumerate_block(len(verts), edges)
     return q
-
-
-def _leave_one_out(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Products of `f` leaving out each entry, and the full product."""
-    prefix, suffix = np.cumprod(np.r_[1.0, f]), np.cumprod(np.r_[1.0, f[::-1]])[::-1]
-    return prefix[:-1] * suffix[1:], prefix[-1]
 
 
 def _forced_block_sums(
@@ -190,42 +175,36 @@ def _forced_block_sums(
     Forcing link e on (off) weighs state s by [e is on (off) in s] times the
     leave-one-out product prod_{l != e} f_l(s), where f_l(s) is p_l when
     link l is on in s and 1 - p_l when it is off.  The products are taken
-    without division, so p = 1 links work; for the same reason all 2^m
-    states are visited, even those of zero probability.  A run of
-    :func:`probconn.graph._prefix_labels` is one product with a (2^t, 2t + 1)
-    table of the low links' forced columns and weights, built by
-    :func:`_state_weights` from per-column factors, scaled by the run's O(m)
-    high-link factors.  A sure link on (a, b) is a's and b's labels merged in
-    a copy of each run's, weighed like the own column.
+    without division, so p = 1 links work; for the same reason states of
+    zero probability are enumerated too.  Each of the 2m + 1 columns (link e
+    forced on, forced off, as drawn) is one weight column of the partition
+    table of :func:`probconn.graph._prefix_labels`, so a run is one product.
+    A sure link on (a, b) is a's and b's labels merged in a copy of each
+    run's, weighed like the own column, or the run's own sums when a and b
+    share a label in every row.
     """
     m = len(edges)
     eu, ev, probs = (np.array(column) for column in zip(*edges))
     pair_i, pair_j = _upper_pairs(nverts)
-    own = np.zeros(len(pair_i))
-    q0, q1 = np.zeros((len(pair_i), m + len(extra))), np.zeros((len(pair_i), m + len(extra)))
-    state_bytes = 12 * len(pair_i) + 16 * m + 8 + nverts * (m + 1)  # indicators, table, walk labels
-    for lo, lab in _prefix_labels(nverts, eu, ev, state_bytes):
-        if lo == 0:  # the first run's width 2^t splits low links from high ones
-            t = lab.shape[1].bit_length() - 1
-            on = np.repeat(probs[:t, None], 2 * t + 1, axis=1)  # row k: link k's factor per column
-            off, k = 1.0 - on, np.arange(t)
-            on[k, k], off[k, k] = 1.0, 0.0  # column e: link e forced on
-            on[k, t + k], off[k, t + k] = 0.0, 1.0  # column t + e: forced off; the last as drawn
-            table = _state_weights(on, off)
-        high_on = (lo >> np.arange(t, m) & 1).astype(bool)
-        high_loo, run_w = _leave_one_out(np.where(high_on, probs[t:], 1.0 - probs[t:]))
-        sums = (lab[pair_i] == lab[pair_j]).astype(float) @ table  # (pairs, 2t + 1)
-        own += sums[:, -1] * run_w
-        q1[:, :t] += sums[:, :t] * run_w
-        q0[:, :t] += sums[:, t : 2 * t] * run_w
-        q1[:, t:m] += np.outer(sums[:, -1], np.where(high_on, high_loo, 0.0))
-        q0[:, t:m] += np.outer(sums[:, -1], np.where(high_on, 0.0, high_loo))
-        for r, (a, b) in enumerate(extra, m):
-            merged = lab.copy()  # runs share their labels
-            _merge(merged, a, b)
-            q1[:, r] += ((merged[pair_i] == merged[pair_j]) @ table[:, -1]) * run_w
-    q0[:, m:] = own[:, None]
-    return np.minimum(own, 1.0), np.minimum(q0.T, 1.0), np.minimum(q1.T, 1.0)
+    on = np.repeat(probs[:, None], 2 * m + 1, axis=1)  # row k: link k's factor per column
+    off, k = 1.0 - on, np.arange(m)
+    on[k, k], off[k, k] = 1.0, 0.0  # column e: link e forced on
+    on[k, m + k], off[k, m + k] = 0.0, 1.0  # column m + e: forced off; the last as drawn
+    sums, joined = np.zeros((len(pair_i), 2 * m + 1)), np.zeros((len(pair_i), len(extra)))
+    state_bytes = 12 * len(pair_i) + 16 * m + 24 + nverts * (m + 2)  # indicators, table, walk
+    for lab, w, factor in _prefix_labels(nverts, eu, ev, on, off, state_bytes):
+        run = ((lab[pair_i] == lab[pair_j]) @ w) * factor  # (pairs, 2m + 1)
+        sums += run
+        for r, (a, b) in enumerate(extra):
+            if lab[a, 0] == lab[b, 0] and (lab[a] == lab[b]).all():  # joined in every row
+                joined[:, r] += run[:, -1]
+            else:
+                merged = lab.copy()  # runs share their labels
+                _merge(merged, a, b)
+                joined[:, r] += ((merged[pair_i] == merged[pair_j]) @ w[:, -1]) * factor[-1]
+    own, q1 = sums[:, -1], np.hstack([sums[:, :m], joined]).T
+    q0 = np.vstack([sums[:, m : 2 * m].T, np.broadcast_to(own, (len(extra), len(own)))])
+    return np.minimum(own, 1.0), np.minimum(q0, 1.0), np.minimum(q1, 1.0)
 
 
 def _forced_link_slices(

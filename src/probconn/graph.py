@@ -7,11 +7,12 @@ vertex pairs can ever be connected.  Its components and cut vertices come
 from one depth-first search, which also groups the nonzero patterns of
 matrices into blocks, stacked by size, for the spectral, bounds and walks
 modules.  The edge-state kernel lives here too: one merge step, used on
-packed sampled states and on all 2^m states.
+packed sampled states and on the exact engines' table of partitions.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -192,30 +193,90 @@ def _state_labels(
         yield lo, lab
 
 
+def _merge_rows(lab: np.ndarray, w: np.ndarray) -> int:
+    """Merge the equal columns of the (n, rows) labels `lab` into its first ones, in place, each
+    with the weights (rows of `w`) of its copies summed in column order; returns their count."""
+    widths = [i.bit_length() for i in range(len(lab))]  # vertex i's label is at most i
+    if sum(widths) <= 53:  # one exact float64 key a column, each label in its own bits
+        key = np.ldexp(1.0, np.cumsum([0] + widths[:-1])) @ lab
+    else:  # a column's bytes as one opaque key
+        key = np.ascontiguousarray(lab.T).view(np.dtype((np.void, lab.itemsize * len(lab))))[:, 0]
+    order = key.argsort()
+    key = key[order]
+    fresh = np.concatenate(([True], key[1:] != key[:-1]))
+    group = np.empty(len(order), np.intp)
+    group[order] = fresh.cumsum() - 1
+    first = order[fresh]
+    lab[:, : len(first)] = lab.take(first, axis=1)
+    sums = [np.bincount(group, col, len(first)) for col in w.reshape(len(w), -1).T]
+    w[: len(first)] = np.column_stack(sums).reshape(w[: len(first)].shape)
+    return len(first)
+
+
 def _prefix_labels(
-    n: int, eu: np.ndarray, ev: np.ndarray, state_bytes: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The labels of :func:`_state_labels` for all 2^m states as bitmasks, in runs
-    lo .. lo + 2^t - 1 that share their high edges t .. m - 1, lo ascending; t is
-    the largest value up to m with 2^t * state_bytes <= _SLICE_BYTES.  Runs share
-    arrays, so the caller must not write to them.  The low edges are labelled
-    once, by doubling, and the high ones walked depth first, about one merge per run.
+    n: int, eu: np.ndarray, ev: np.ndarray, on: np.ndarray, off: np.ndarray, state_bytes: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The partitions of all 2^m edge states, as label rows with summed weights, in runs.
+
+    Edge k weighs a state by on[k] or off[k] (scalars, or rows of per-column
+    factors) as it is on or off.  Yields (lab, w, factor) per run: column c of
+    the (n, rows) labels `lab` labels each vertex with the smallest vertex of
+    its component and stands for states of summed weight w[c] * factor.  The
+    low edges 0 .. t - 1 join one table in order, which doubles (every row an
+    off row and an on row) until it would pass _SLICE_BYTES at `state_bytes` a
+    row, or four times the partitions of n vertices.  From then on an edge that
+    closes a cycle keeps the rows in which its ends already share a label and
+    splits only the others, and a full table merges its equal rows.  The edges
+    that still do not fit are walked depth first, one run per state of theirs
+    in ascending order, about one merge a run.  Runs share arrays, so the
+    caller must not write to them.
     """
-    t = min(len(eu), max(0, (_SLICE_BYTES // state_bytes).bit_length() - 1))
-    base = np.empty((n, 1 << t), dtype=np.min_scalar_type(n))
-    base[:, 0] = np.arange(n)
-    for k in range(t):  # edge k merges only the columns that switch it on
-        base[:, 1 << k : 2 << k] = base[:, : 1 << k]
-        _merge(base[:, 1 << k : 2 << k], eu[k], ev[k])
-    stack = [(len(eu), 0, base)]  # (high edges still to decide, lo, labels)
-    while stack:
-        k, lo, lab = stack.pop()
-        if k > t:
-            on = lab.copy()
-            _merge(on, eu[k - 1], ev[k - 1])
-            stack += [(k - 1, lo | 1 << k - 1, on), (k - 1, lo, lab)]
+    m, cap = len(eu), min(1 << len(eu), max(1, _SLICE_BYTES // state_bytes))  # the table's rows
+    bell = [1]  # Bell triangle: n vertices have at most bell[-1] partitions, so past four
+    while len(bell) < n and bell[-1] <= cap:  # times that many rows most rows are equal
+        bell = list(itertools.accumulate(bell, initial=bell[-1]))
+    cap = min(cap, 4 * bell[-1])
+    eu, ev = eu.tolist(), ev.tolist()
+    lab = np.empty((n, cap), dtype=np.min_scalar_type(n))
+    w = np.empty((cap,) + np.shape(on)[1:])
+    lab[:, 0], w[0], rows = np.arange(n), 1.0, 1
+    t, since, cycle = 0, 0, None  # edges since .. t - 1 joined after the last merge
+    while t < m:
+        u, v = eu[t], ev[t]
+        if cycle and cycle[t]:  # known once the table first fills
+            split = np.flatnonzero(lab[u, :rows] != lab[v, :rows])
+            src = lab[:, :rows].take(split, axis=1)
         else:
-            yield lo, lab
+            split, src = slice(0, rows), lab[:, :rows]
+        grow = src.shape[1]
+        if rows + grow > cap:
+            # a merge costs about four runs of one weight column: walk if the rest costs no more
+            if w[0].size << m - t <= 4:
+                break
+            if cycle is None:  # from now on an edge closing a cycle splits only the rows it changes
+                comp, cycle = list(range(n)), []  # quick-find: does edge k close a cycle?
+                for a, b in zip(eu, ev):
+                    cycle.append(comp[a] == comp[b])
+                    comp = [comp[a] if c == comp[b] else c for c in comp]
+                continue
+            if not any(cycle[since:t]):  # no two rows can be equal
+                break
+            rows, since = _merge_rows(lab[:, :rows], w[:rows]), t
+            continue
+        lab[:, rows : rows + grow] = src
+        _merge(lab[:, rows : rows + grow], u, v)
+        np.multiply(w[split], on[t], out=w[rows : rows + grow])
+        w[split] *= off[t]
+        rows, t = rows + grow, t + 1
+    stack = [(m, lab[:, :rows], np.ones(np.shape(on)[1:]))]  # (edges to decide, labels, factor)
+    while stack:
+        k, run, factor = stack.pop()
+        if k > t:
+            joined = run.copy()
+            _merge(joined, eu[k - 1], ev[k - 1])
+            stack += [(k - 1, joined, factor * on[k - 1]), (k - 1, run, factor * off[k - 1])]
+        else:
+            yield run, w[:rows], factor
 
 
 def _state_pair_sums(

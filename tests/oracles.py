@@ -273,3 +273,23 @@ def rank_per_candidate(g, include_absent=False):
         entries.append(RankedEdge(edge_index, i, j, p, value, method, 1.0 - p, gain))
     entries.sort(key=lambda e: (-e.projected_gain, e.i, e.j))
     return entries
+
+
+def chord_path_connectivity(p_path, p_chord) -> np.ndarray:
+    """Path-probability matrix of the path 0 - 1 - ... - n-1, link (k, k + 1) at
+    p_path[k], plus the chord (0, 2) at p_chord, in closed form.
+
+    Between two vertices of the triangle 0, 1, 2 a pair is joined by its own
+    link or by the two others; beyond vertex 2 every route runs along the
+    path, so q_ij is that pair reliability times the path links from 2 on.
+    """
+    n = len(p_path) + 1
+    sides = {(0, 1): (p_path[0], p_chord, p_path[1]), (1, 2): (p_path[1], p_path[0], p_chord),
+             (0, 2): (p_chord, p_path[0], p_path[1])}
+    joined = {pair: direct + (1.0 - direct) * a * b for pair, (direct, a, b) in sides.items()}
+    q = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            head = joined[(i, min(j, 2))] if i < 2 else 1.0
+            q[i, j] = q[j, i] = head * math.prod(p_path[max(i, 2):j])
+    return q

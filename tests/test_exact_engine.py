@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,9 +18,9 @@ from probconn import (
 )
 from probconn import exact as exact_module
 from probconn import graph as graph_module
-from probconn.exact import _state_weights
+from probconn.exact import _forced_link_slices
 from graphgen import random_graph
-from oracles import connectivity_by_enumeration
+from oracles import _bfs_labels as bfs_labels, chord_path_connectivity, connectivity_by_enumeration
 
 PATH3 = build_graph(3, [(0, 1, 0.9), (1, 2, 0.8)])
 TRIANGLE = build_graph(3, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)])
@@ -81,17 +82,25 @@ def _traced_peak(run):
 
 class TestStateWeights:
     def test_weights_are_the_state_probabilities(self):
-        g = build_graph(4, [(0, 1, 0.3), (1, 2, 0.9), (2, 3, 1 / 3), (0, 3, 0.0), (0, 2, 1.0)])
-        p = np.array([p for _, _, p in g.edges])
-        w = _state_weights(p, 1 - p)
-        for mask in range(1 << g.m):
-            bits = [(mask >> k) & 1 for k in range(g.m)]
-            assert w[mask] == state_probability(g, bits)  # same products, same order
-
-    def test_table_is_built_in_place(self):
-        probs = np.linspace(0.05, 0.95, 20)
-        peak = _traced_peak(lambda: _state_weights(probs, 1 - probs))
-        assert peak <= 1.1 * (8 << 20), peak  # the 2^20 float64 table itself
+        # a partition's row weighs the summed probability of the states that induce it
+        g = build_graph(5, [(0, 1, 0.3), (1, 2, 0.9), (2, 3, 1 / 3), (0, 3, 0.0), (0, 2, 1.0),
+                            (1, 3, 0.6), (3, 4, 0.7)])
+        eu, ev, p = (np.array(column) for column in zip(*g.edges))
+        expected: dict[tuple[int, ...], list[float]] = {}
+        for bits in itertools.product((0, 1), repeat=g.m):
+            adj = [[] for _ in range(g.n)]
+            for u, v, b in zip(eu, ev, bits):
+                if b:
+                    adj[u].append(v)
+                    adj[v].append(u)
+            expected.setdefault(tuple(bfs_labels(g.n, adj)), []).append(state_probability(g, bits))
+        got: dict[tuple[int, ...], list[float]] = {}
+        for lab, w, factor in graph_module._prefix_labels(g.n, eu, ev, p, 1 - p, 1):
+            for column, weight in zip(lab.T.tolist(), w * factor):
+                got.setdefault(tuple(column), []).append(weight)
+        assert got.keys() == expected.keys()
+        for labels, weights in expected.items():
+            assert math.fsum(got[labels]) == pytest.approx(math.fsum(weights), abs=1e-15)
 
 
 class TestExactConnectivity:
@@ -186,7 +195,7 @@ class TestStreamedEnumeration:
     def test_absent_candidates_do_not_shorten_the_runs(self, monkeypatch):
         sizes = []
 
-        def sized(n, eu, ev, state_bytes):  # records each pass's state bytes, enumerates nothing
+        def sized(n, eu, ev, on, off, state_bytes):  # records each pass's state bytes, enumerates nothing
             sizes.append(state_bytes)
             return iter(())
 
@@ -196,6 +205,73 @@ class TestStreamedEnumeration:
         sizes.clear()
         rank_improvements(M20, include_absent=True)
         assert sizes == live
+
+
+# a path 0 - 1 - ... - 16 with the chord (0, 2): one component of 17 vertices, whose
+# triangle's 8 states give 5 partitions
+CHORD_PATH = 0.3 + 0.04 * np.arange(16), 0.55
+CHORDED = build_graph(17, [(k, k + 1, p) for k, p in enumerate(CHORD_PATH[0])] + [(0, 2, CHORD_PATH[1])])
+
+
+class TestPartitionTable:
+    @staticmethod
+    def _spy_merges(monkeypatch):
+        widths = []  # the vertex count of each row merge
+        merge_rows = graph_module._merge_rows
+
+        def spy(lab, w):
+            widths.append(len(lab))
+            return merge_rows(lab, w)
+
+        monkeypatch.setattr(graph_module, "_merge_rows", spy)
+        return widths
+
+    @pytest.mark.parametrize("slice_bytes", [1 << 17, graph_module._SLICE_BYTES])
+    def test_more_than_16_vertices_merge_on_their_bytes(self, monkeypatch, slice_bytes):
+        # 17 labels need more bits than one float64 key holds; the links past the
+        # merged table are walked depth first
+        monkeypatch.setattr(graph_module, "_SLICE_BYTES", slice_bytes)
+        widths = self._spy_merges(monkeypatch)
+        q = exact_connectivity(CHORDED)
+        assert widths and set(widths) == {17}
+        np.testing.assert_allclose(q, chord_path_connectivity(*CHORD_PATH), rtol=0, atol=1e-14)
+
+    def test_forced_pass_on_more_than_16_vertices(self, monkeypatch):
+        widths = self._spy_merges(monkeypatch)
+        path, chord = CHORD_PATH
+        pairs = [(0, 1), (0, 2), (5, 6)]
+        q, slices = _forced_link_slices(CHORDED, pairs)
+        assert widths and set(widths) == {17}
+        np.testing.assert_allclose(q, chord_path_connectivity(path, chord), rtol=0, atol=1e-14)
+        for (i, j), (verts, q0, q1) in zip(pairs, slices):
+            assert verts == list(range(17))
+            for forced, t in [(q0, 0.0), (q1, 1.0)]:
+                edited = np.array(path)
+                if (i, j) != (0, 2):
+                    edited[i] = t
+                expected = chord_path_connectivity(edited, t if (i, j) == (0, 2) else chord)
+                np.testing.assert_allclose(forced, expected, rtol=0, atol=1e-14)
+
+    def test_dense_block_merges_rows_and_walks_the_rest(self, monkeypatch):
+        # M20's table fills twice, is merged each time, and the links that still
+        # do not fit are walked; at 1/32 of the slice its first nine links (a
+        # star, no cycle) fill the table, nothing merges, and the rest is walked
+        widths, runs = self._spy_merges(monkeypatch), []
+        prefix_labels = graph_module._prefix_labels
+
+        def counted(*args):
+            for run in prefix_labels(*args):
+                runs.append(run)
+                yield run
+
+        monkeypatch.setattr(exact_module, "_prefix_labels", counted)
+        with monkeypatch.context() as patched:
+            patched.setattr(graph_module, "_SLICE_BYTES", graph_module._SLICE_BYTES >> 5)
+            walked = exact_connectivity(M20)
+        assert widths == [] and len(runs) == 1 << 15
+        runs.clear()
+        np.testing.assert_allclose(exact_connectivity(M20), walked, rtol=0, atol=1e-14)
+        assert widths == [10, 10] and 1 < len(runs) < 1 << 15
 
 
 class TestExactInvariants:

@@ -220,27 +220,43 @@ class TestStatePairSums:
 
 
 class TestPrefixLabels:
-    # state_bytes = 3 and _SLICE_BYTES = 3 * 2^t + 2 give runs of 2^min(t, m) states
+    # state_bytes = 3 and _SLICE_BYTES = 3 * 2^t + 2 give a table of at most 2^t rows
     @pytest.mark.parametrize("t", [0, 2, 5, 40])
     def test_runs_label_every_state_in_ascending_order(self, monkeypatch, t):
+        # run r holds the states whose high links are on as the bits of r say: each
+        # state's labels are among its rows, and rows and weights give its pair sums
         monkeypatch.setattr(graph_module, "_SLICE_BYTES", 3 * (1 << t) + 2)
         rng = np.random.default_rng(40 + t)
         for _ in range(12):
             g = random_graph(rng, n_lo=1, n_hi=7, m_hi=9)
             eu, ev = np.array([(i, j) for i, j, _ in g.edges], dtype=int).reshape(g.m, 2).T
-            width = 1 << min(t, g.m)
-            runs = list(graph_module._prefix_labels(g.n, eu, ev, 3))
-            assert [lo for lo, _ in runs] == list(range(0, 1 << g.m, width))
-            for lo, lab in runs:
-                masks = np.arange(lo, lo + width)[:, None]
-                ((_, expected),) = graph_module._state_labels(g.n, eu, ev, masks, 1)
-                assert lab.dtype == expected.dtype
-                np.testing.assert_array_equal(lab, expected)
+            p = rng.uniform(0.1, 0.9, g.m)
+            runs = list(graph_module._prefix_labels(g.n, eu, ev, p, 1 - p, 3))
+            low = g.m - (len(runs).bit_length() - 1)  # the table's links
+            assert len(runs) == 1 << g.m - low
+            for r, (lab, w, factor) in enumerate(runs):
+                assert lab.shape[1] == len(w) <= max(1, 1 << t)
+                high = [(r >> k - low) & 1 for k in range(low, g.m)]
+                assert factor == pytest.approx(np.prod(np.where(high, p[low:], 1 - p[low:])), rel=1e-14)
+                masks = (r << low) + np.arange(1 << low)
+                ((_, labels),) = graph_module._state_labels(g.n, eu, ev, masks[:, None], 1)
+                assert lab.dtype == labels.dtype
+                assert set(map(tuple, labels.T.tolist())) <= set(map(tuple, lab.T.tolist()))
+                bits = (masks[:, None] >> np.arange(g.m)) & 1
+                expected = [pair_indicators(g.n, zip(eu[on == 1], ev[on == 1])) for on in bits]
+                pair_i, pair_j = graph_module._upper_pairs(g.n)
+                np.testing.assert_allclose(((lab[pair_i] == lab[pair_j]) @ w) * factor,
+                                           np.prod(np.where(bits, p, 1 - p), axis=1) @ np.reshape(expected, (len(masks), -1)),
+                                           rtol=0, atol=1e-15)
 
     def test_one_state_per_run_when_a_state_outgrows_the_slice(self):
-        eu, ev = np.array([0, 1, 0]), np.array([1, 2, 2])
-        runs = list(graph_module._prefix_labels(3, eu, ev, graph_module._SLICE_BYTES + 1))
-        assert [(lo, lab.shape) for lo, lab in runs] == [(lo, (3, 1)) for lo in range(8)]
+        eu, ev, p = np.array([0, 1, 0]), np.array([1, 2, 2]), np.array([0.3, 0.6, 0.8])
+        runs = list(graph_module._prefix_labels(3, eu, ev, p, 1 - p, graph_module._SLICE_BYTES + 1))
+        assert [lab.shape for lab, _, _ in runs] == [(3, 1)] * 8
+        for s, (_, w, factor) in enumerate(runs):  # ascending masks, one state's weight each
+            bits = [(s >> k) & 1 for k in range(3)]
+            assert w.tolist() == [1.0]
+            assert factor == pytest.approx(np.prod(np.where(bits, p, 1 - p)), rel=1e-15)
 
 
 class TestArticulationPoints:

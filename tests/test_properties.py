@@ -4,6 +4,7 @@ Examples are derandomized, so every run checks the same graphs and tier-1
 stays deterministic.
 """
 
+import itertools
 import json
 from unittest.mock import patch
 
@@ -88,11 +89,43 @@ def test_affine_slice_passes_through_the_matrix(data):
     )
 
 
+# slices of 1 and 200 bytes walk every link depth first; at 8192 bytes the
+# tables of the denser graphs fill, merge equal rows and walk the rest (K5 and
+# K4 beside an isolated vertex do); the default holds these graphs whole
+SLICE_SIZES = st.sampled_from([1, 200, 8192, graph_module._SLICE_BYTES])
+K5 = build_graph(5, [(i, j, 0.2 + 0.07 * k) for k, (i, j) in enumerate(itertools.combinations(range(5), 2))])
+K4_AND_ONE = build_graph(5, [(i, j, 0.2 + 0.1 * k) for k, (i, j) in enumerate(itertools.combinations(range(4), 2))])
+
+
+@_settings(100)
+@given(graphs(max_m=10), SLICE_SIZES)
+@example(K5, 8192)
+@example(CONTRACTED, 8192)
+def test_exact_matches_enumeration_oracle_at_any_slice_size(g, size):
+    # p = 0 links, p = 1 links and isolated vertices, whatever the slice holds
+    with patch.object(graph_module, "_SLICE_BYTES", size):
+        q = exact_connectivity(g)
+    np.testing.assert_allclose(q, connectivity_by_enumeration(g.n, g.edges), rtol=0, atol=1e-13)
+
+
 @_settings(40)
 @given(graphs())
 @example(EXTREMES)
 @example(CONTRACTED)
 def test_forced_link_slices_match_enumeration_oracle(g):
+    _check_forced_link_slices(g)
+
+
+@_settings(30)
+@given(graphs(max_n=5, max_m=8), SLICE_SIZES)
+@example(K4_AND_ONE, 8192)
+@example(CONTRACTED, 200)
+def test_forced_link_slices_match_enumeration_oracle_at_any_slice_size(g, size):
+    with patch.object(graph_module, "_SLICE_BYTES", size):
+        _check_forced_link_slices(g)
+
+
+def _check_forced_link_slices(g):
     # every vertex pair: a link is set to 0 and to 1, an absent pair stays out or is added at 1;
     # only the block on i's support component, then j's if that is another one, may change
     pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]

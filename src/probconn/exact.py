@@ -10,17 +10,17 @@ before any indicator is formed.
 Links with p = 0 are left out and sure links (p = 1) contracted: only the
 links between the vertex classes that sure links join are enumerated, on
 one vertex per class.  :func:`probconn.graph._prefix_labels` adds the links
-in order to a table of label rows and summed weights, merges equal rows
-when the table fills its slice, and walks the links that still do not fit
-depth first in runs (the set-partition recursion of Hardy, Lucet and
-Limnios, IEEE Trans. Reliab. 56(3), 2007, for all pairs at once).  A run's
-pair sums are one gemv, added in a fixed order: bit-identical output.
+to a table of label rows and summed weights (breadth first if it cannot
+hold every state, so cycles close early), merges equal rows when it fills
+its slice, and walks the links left depth first in runs (the set-partition
+recursion of Hardy, Lucet and Limnios, IEEE Trans. Reliab. 56(3), 2007).
+A run's pair sums are gemv products in a fixed order: bit-identical output.
 Enumeration runs independently inside each support component; entries
 across components are exactly zero by construction.
 
 Link ranking enumerates each component once too: that pass yields its block
-of the matrix and every link's matrices with that link forced off and on
-(:func:`_forced_link_slices`).
+and, grouped by the block they change, every link's pair values with that
+link forced off and on (:func:`_forced_link_slices`).
 
 This is deliberately the brute-force definition: it serves as the trusted
 reference the sampling engine and all analyses are checked against.  Cost
@@ -53,7 +53,7 @@ __all__ = [
     "state_probability",
 ]
 
-# 22 links per component (2^22 states, 0.1-0.2 s at 10 vertices in about 1 MiB of
+# 22 links per component (2^22 states, 5-30 ms at 10 vertices in about 1 MiB of
 # working memory) is the practical ceiling for enumeration; past it Monte Carlo takes over.
 DEFAULT_MAX_EDGES = 22
 
@@ -178,7 +178,7 @@ def _forced_block_sums(
     without division, so p = 1 links work; for the same reason states of
     zero probability are enumerated too.  Each of the 2m + 1 columns (link e
     forced on, forced off, as drawn) is one weight column of the partition
-    table of :func:`probconn.graph._prefix_labels`, so a run is one product.
+    table of :func:`probconn.graph._prefix_labels`: a run is a gemv a column.
     A sure link on (a, b) is a's and b's labels merged in a copy of each
     run's, weighed like the own column, or the run's own sums when a and b
     share a label in every row.
@@ -190,38 +190,41 @@ def _forced_block_sums(
     off, k = 1.0 - on, np.arange(m)
     on[k, k], off[k, k] = 1.0, 0.0  # column e: link e forced on
     on[k, m + k], off[k, m + k] = 0.0, 1.0  # column m + e: forced off; the last as drawn
-    sums, joined = np.zeros((len(pair_i), 2 * m + 1)), np.zeros((len(pair_i), len(extra)))
+    sums, joined = np.zeros((2 * m + 1, len(pair_i))), np.zeros((len(extra), len(pair_i)))
     state_bytes = 12 * len(pair_i) + 16 * m + 24 + nverts * (m + 2)  # indicators, table, walk
     for lab, w, factor in _prefix_labels(nverts, eu, ev, on, off, state_bytes):
-        run = ((lab[pair_i] == lab[pair_j]) @ w) * factor  # (pairs, 2m + 1)
+        # one matrix-vector product per column: a gemm's sums vary with the BLAS thread count
+        run = np.matmul(lab[pair_i] == lab[pair_j], w.T[:, :, None])[:, :, 0] * factor[:, None]
         sums += run
         for r, (a, b) in enumerate(extra):
             if lab[a, 0] == lab[b, 0] and (lab[a] == lab[b]).all():  # joined in every row
-                joined[:, r] += run[:, -1]
+                joined[r] += run[-1]
             else:
                 merged = lab.copy()  # runs share their labels
                 _merge(merged, a, b)
-                joined[:, r] += ((merged[pair_i] == merged[pair_j]) @ w[:, -1]) * factor[-1]
-    own, q1 = sums[:, -1], np.hstack([sums[:, :m], joined]).T
-    q0 = np.vstack([sums[:, m : 2 * m].T, np.broadcast_to(own, (len(extra), len(own)))])
-    return np.minimum(own, 1.0), np.minimum(q0, 1.0), np.minimum(q1, 1.0)
+                joined[r] += ((merged[pair_i] == merged[pair_j]) @ w[:, -1]) * factor[-1]
+    own = sums[-1]
+    q0 = np.vstack([sums[m : 2 * m], np.broadcast_to(own, (len(extra), len(own)))])
+    return np.minimum(own, 1.0), np.minimum(q0, 1.0), np.minimum(np.vstack([sums[:m], joined]), 1.0)
 
 
 def _forced_link_slices(
     g: ProbGraph, pairs: Sequence[tuple[int, int]], max_edges: int = DEFAULT_MAX_EDGES
-) -> tuple[np.ndarray, Iterator[tuple[list[int], np.ndarray, np.ndarray]]]:
+) -> tuple[np.ndarray, Iterator[tuple[list[int], list[int], np.ndarray, np.ndarray]]]:
     """Q of `g`, and its blocks with the link on each vertex pair forced off and on.
 
     `pairs` lists vertex pairs (i, j), i < j.  Returns Q, which is
     exact_connectivity(g, max_edges) up to rounding and raises alike, and an
-    iterator of (verts, q0, q1) per pair, in order: `g` with the link on the
-    pair at probability 0 and 1, whether `g` holds that link or not, on
-    `verts`, i's support component followed by j's if that is another one;
-    outside verts x verts both equal Q.  Each component is enumerated once
-    for Q and all its pairs (see :func:`_forced_block_sums`); candidate links
-    do not count toward `max_edges`.  A link joining i's component A to j's B
-    sets q1[u, v] = q[u, i] * q[j, v] for u in A and v in B, since the two
-    sides are independent.
+    iterator of (verts, rows, q0, q1) per block that pairs change, smallest
+    first: pairs[r] for r in `rows` (ascending) changes only the block on
+    `verts`, i's support component followed by j's if that is another one,
+    and row k of q0 and q1 holds the block's pair values (_upper_pairs
+    order) with the link on pairs[rows[k]] at probability 0 and 1, whether
+    `g` holds it or not.  Each component is enumerated once for Q and all
+    its pairs (see :func:`_forced_block_sums`); candidate links do not count
+    toward `max_edges`.  A link joining i's component A to j's B sets
+    q1[u, v] = q[u, i] * q[j, v] for u in A and v in B, since the two sides
+    are independent.
     """
     blocks, position, links = _support_links(g, max_edges)
     row = {  # a pair inside a component: its row of the component's forced sums
@@ -230,11 +233,13 @@ def _forced_link_slices(
         for e, (u, v, _) in enumerate(edges)
     }
     extra: list[list[tuple[int, int]]] = [[] for _ in blocks]
-    for i, j in pairs:
+    groups: dict[tuple[int, int], list[int]] = {}  # (i's component, j's): rows of pairs
+    for r, (i, j) in enumerate(pairs):
         (b, li), (c, lj) = position[i], position[j]
         if b == c and (i, j) not in row:
             row[i, j] = len(links[b]) + len(extra[b])
             extra[b].append((li, lj))
+        groups.setdefault((b, c), []).append(r)
     sums = [
         _forced_block_sums(len(verts), edges, more) if edges else None
         for verts, edges, more in zip(blocks, links, extra)
@@ -243,26 +248,21 @@ def _forced_link_slices(
     q = np.zeros((g.n, g.n))
     for verts, block in zip(blocks, own):
         q[np.ix_(verts, verts)] = block
-    upper = [_upper_pairs(len(verts)) for verts in blocks]
 
-    def with_pairs(b: int, values: np.ndarray) -> np.ndarray:  # in _upper_pairs order
-        out = own[b].copy()
-        out[upper[b]] = out.T[upper[b]] = values
-        return out
-
-    def slices() -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
-        for i, j in pairs:
-            (b, li), (c, lj) = position[i], position[j]
+    def grouped() -> Iterator[tuple[list[int], list[int], np.ndarray, np.ndarray]]:
+        for b, c in sorted(groups, key=lambda bc: sum(len(blocks[k]) for k in set(bc))):
+            rows = groups[b, c]
             if b == c:
-                r = row[i, j]
-                yield blocks[b], with_pairs(b, sums[b][1][r]), with_pairs(b, sums[b][2][r])
-            else:
-                size = len(blocks[b])
-                q0 = np.zeros((size + len(blocks[c]),) * 2)
-                q0[:size, :size], q0[size:, size:] = own[b], own[c]
-                q1 = q0.copy()
-                q1[:size, size:] = np.outer(own[b][:, li], own[c][lj])
-                q1[size:, :size] = q1[:size, size:].T
-                yield blocks[b] + blocks[c], q0, q1
+                forced = [row[pairs[r]] for r in rows]
+                yield blocks[b], rows, sums[b][1][forced], sums[b][2][forced]
+                continue
+            verts, split = blocks[b] + blocks[c], len(blocks[b])
+            upper = _upper_pairs(len(verts))
+            li, lj = ([position[pairs[r][end]][1] for r in rows] for end in (0, 1))
+            q1 = np.zeros((len(rows), len(verts), len(verts)))
+            q1[:, :split, :split], q1[:, split:, split:] = own[b], own[c]
+            q0 = np.broadcast_to(q1[0][upper], (len(rows), len(upper[0])))
+            q1[:, :split, split:] = own[b][:, li].T[:, :, None] * own[c][lj][:, None, :]
+            yield verts, rows, q0, q1[:, upper[0], upper[1]]
 
-    return q, slices()
+    return q, grouped()

@@ -157,9 +157,10 @@ def _pack_states(on: np.ndarray) -> np.ndarray:
     return np.packbits(bits, bitorder="little").view("<u8").reshape(len(on), words)
 
 
-def _merge(lab: np.ndarray, u: int, v: int, on: np.ndarray | bool = True) -> None:
+def _merge(lab: np.ndarray, u: int, v: int, on: np.ndarray | None = None) -> None:
     """Join u's and v's components in the columns of the (n, states) labels `lab`
-    where `on` holds: the larger of their two labels is replaced by the smaller.
+    where `on` holds (every column if it is None): the larger of their two labels
+    is replaced by the smaller.
 
     Branch free: every entry equal to the larger label drops by the gap to the
     smaller one, a gap of 0 where `on` fails or u and v already share a label,
@@ -167,8 +168,8 @@ def _merge(lab: np.ndarray, u: int, v: int, on: np.ndarray | bool = True) -> Non
     """
     lu, lv = lab[u], lab[v]
     hi = np.maximum(lu, lv)
-    drop = (hi - np.minimum(lu, lv)) * on
-    lab -= (lab == hi) * drop
+    drop = hi - np.minimum(lu, lv)
+    lab -= (lab == hi) * (drop if on is None else drop * on)
 
 
 def _state_labels(
@@ -213,6 +214,27 @@ def _merge_rows(lab: np.ndarray, w: np.ndarray) -> int:
     return len(first)
 
 
+def _link_order(n: int, eu: list[int], ev: list[int]) -> list[int]:
+    """The links (eu[k], ev[k]) in breadth-first order from a vertex of highest degree:
+    by the later breadth-first position of their two ends, then the earlier one, ties
+    in index order.  Vertices the search does not reach come last."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in zip(eu, ev):
+        adj[a].append(b)
+        adj[b].append(a)
+    degree = list(map(len, adj))
+    seen, pos = [degree.index(max(degree))], [n] * n
+    pos[seen[0]] = 0
+    for a in seen:  # grows while it is read
+        for b in adj[a]:
+            if pos[b] == n:
+                pos[b] = len(seen)
+                seen.append(b)
+    key = [pos[a] * (n + 1) + pos[b] if pos[a] > pos[b] else pos[b] * (n + 1) + pos[a]
+           for a, b in zip(eu, ev)]  # (later position, earlier) as one integer
+    return sorted(range(len(key)), key=key.__getitem__)
+
+
 def _prefix_labels(
     n: int, eu: np.ndarray, ev: np.ndarray, on: np.ndarray, off: np.ndarray, state_bytes: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -221,15 +243,15 @@ def _prefix_labels(
     Edge k weighs a state by on[k] or off[k] (scalars, or rows of per-column
     factors) as it is on or off.  Yields (lab, w, factor) per run: column c of
     the (n, rows) labels `lab` labels each vertex with the smallest vertex of
-    its component and stands for states of summed weight w[c] * factor.  The
-    low edges 0 .. t - 1 join one table in order, which doubles (every row an
-    off row and an on row) until it would pass _SLICE_BYTES at `state_bytes` a
-    row, or four times the partitions of n vertices.  From then on an edge that
-    closes a cycle keeps the rows in which its ends already share a label and
-    splits only the others, and a full table merges its equal rows.  The edges
-    that still do not fit are walked depth first, one run per state of theirs
-    in ascending order, about one merge a run.  Runs share arrays, so the
-    caller must not write to them.
+    its component and stands for states of summed weight w[c] * factor.  Edges
+    join one table in order, breadth first (:func:`_link_order`) if it cannot
+    hold all 2^m states, doubling it (every row an off row and an on row) until
+    it would pass _SLICE_BYTES at `state_bytes` a row, or four times the
+    partitions of n vertices.  From then on an edge that closes a cycle keeps
+    the rows in which its ends share a label and splits the others, and a full
+    table merges its equal rows.  The edges that still do not fit are walked
+    depth first, one run per state of theirs in ascending order (in join
+    order), about one merge a run.  Runs share arrays: do not write to them.
     """
     m, cap = len(eu), min(1 << len(eu), max(1, _SLICE_BYTES // state_bytes))  # the table's rows
     bell = [1]  # Bell triangle: n vertices have at most bell[-1] partitions, so past four
@@ -237,6 +259,9 @@ def _prefix_labels(
         bell = list(itertools.accumulate(bell, initial=bell[-1]))
     cap = min(cap, 4 * bell[-1])
     eu, ev = eu.tolist(), ev.tolist()
+    if 1 << m > cap:  # cycles that close early let the table merge before it walks links
+        order = _link_order(n, eu, ev)
+        eu, ev, on, off = [eu[k] for k in order], [ev[k] for k in order], on[order], off[order]
     lab = np.empty((n, cap), dtype=np.min_scalar_type(n))
     w = np.empty((cap,) + np.shape(on)[1:])
     lab[:, 0], w[0], rows = np.arange(n), 1.0, 1

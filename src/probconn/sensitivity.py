@@ -9,15 +9,14 @@ current point whenever it is simple, with x the unit principal eigenvector.
 Ranking links by the eigenvalue gain realized at t = 1 answers "which link
 upgrade buys the most quality".  :func:`affine_slice` evaluates one link
 with two exact evaluations; :func:`rank_improvements` takes the matrix
-itself and each link's q0 and q1 on the block it changes (its endpoints'
-support components) from one enumeration per component, and works on that
-block alone.
+and each link's q0 and q1 on the block it changes (its endpoints' support
+components) from one enumeration per component, and solves the links that
+change one block together: one derivative product, one eigenvalue stack.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -107,15 +106,19 @@ def _derivative(
     return (lam_hi - lam_lo) / (2.0 * h), "finite_difference"
 
 
-def _top_eigenvalues(blocks: Iterable[np.ndarray]) -> Iterator[float]:
-    """Largest eigenvalue of each symmetric block, in order: each run of blocks of
-    one size goes to np.linalg.eigvalsh in stacks of at most graph._SLICE_BYTES."""
-    for size, run in itertools.groupby(blocks, len):
-        stack = np.dtype((float, (size, size)))
-        cap = max(1, graph._SLICE_BYTES // stack.itemsize)
-        while len(chunk := np.fromiter(itertools.islice(run, cap), stack)):
-            tops, chunk = np.linalg.eigvalsh(chunk)[:, -1].tolist(), None  # one stack alive at a time
-            yield from tops
+def _top_eigenvalues(stacks: Iterable[np.ndarray]) -> Iterator[float]:
+    """Largest eigenvalue of each matrix of the (K, b, b) `stacks`, in order, from its
+    lower triangle: each run of stacks of one size b goes to np.linalg.eigvalsh in
+    stacks of at most half of graph._SLICE_BYTES, each joined from the parts it holds."""
+    for size, run in itertools.groupby(stacks, lambda stack: stack.shape[1]):
+        cap, held, count = max(1, graph._SLICE_BYTES // (16 * size * size)), [], 0
+        for part in (stack[lo : lo + cap] for stack in run for lo in range(0, len(stack), cap)):
+            if count + len(part) > cap:
+                tops, held, count = np.linalg.eigvalsh(np.concatenate(held))[:, -1].tolist(), [], 0
+                yield from tops
+            held.append(part)
+            count += len(part)
+        yield from np.linalg.eigvalsh(np.concatenate(held))[:, -1].tolist()
 
 
 def lambda_derivative(
@@ -147,52 +150,49 @@ def rank_improvements(
     matrices with each link forced off and on come from one enumeration per
     support component; candidate links do not count toward `max_edges`.  A
     link changes Q only inside its endpoints' components: its derivative and
-    its top eigenvalue are solved on that block alone.
+    its top eigenvalue are solved on that block alone, with every other link
+    that changes the same block.
     Entries are sorted by projected gain, ties broken by the (i, j) pair, so
     the ranking is deterministic.
     """
     candidates = [(idx, i, j, p) for idx, (i, j, p) in enumerate(g.edges)]
     if include_absent:
         present = {(i, j) for i, j, _ in g.edges}
-        candidates += [
-            (None, i, j, 0.0)
-            for i in range(g.n)
-            for j in range(i + 1, g.n)
-            if (i, j) not in present
-        ]
+        pairs = itertools.combinations(range(g.n), 2)
+        candidates += [(None, i, j, 0.0) for i, j in pairs if (i, j) not in present]
 
     comps = support_components(g)
-    comp_of = {v: c for c, verts in enumerate(comps) for v in verts}
-    # candidates go by the size of the block they change, so that equal sizes stack
-    candidates.sort(key=lambda c: sum(len(comps[k]) for k in {comp_of[c[1]], comp_of[c[2]]}))
-    q_now, slices = _forced_link_slices(g, [(i, j) for _, i, j, _ in candidates], max_edges)
+    q_now, groups = _forced_link_slices(g, [(i, j) for _, i, j, _ in candidates], max_edges)
     w, vecs = sym_eig(q_now)
-    top = list(_top_eigenvalues(q_now[np.ix_(verts, verts)] for verts in comps))
+    top = list(_top_eigenvalues(q_now[np.ix_(verts, verts)][None] for verts in comps))
     by_top = sorted(range(len(comps)), key=lambda c: -top[c])
-    derivatives: deque[tuple[float, str]] = deque()  # of the blocks not yet solved
+    simple = len(w) < 2 or w[0] - w[1] > _SIMPLE_GAP
+    dlambda, rest, order = np.empty(len(candidates)), np.empty(len(candidates)), []
 
-    def changed_blocks() -> Iterator[np.ndarray]:
-        for (_, _, _, p), (verts, q0, q1) in zip(candidates, slices):
-            derivatives.append(_derivative(w, vecs, verts, q0, q1 - q0, p))
-            yield q1
+    def group_stacks() -> Iterator[np.ndarray]:
+        for verts, rows, q0, q1 in groups:
+            pair_i, pair_j = graph._upper_pairs(len(verts))
+            if simple:  # x' (q1 - q0) x, each pair counted twice
+                x = vecs[verts, 0]
+                dlambda[rows] = (q1 - q0) @ (2.0 * x[pair_i] * x[pair_j])
+            else:
+                for r, *ends in zip(rows, q0, q1):
+                    q_off, q_on = (graph._pair_matrix(len(verts), values) for values in ends)
+                    dlambda[r] = _derivative(w, vecs, verts, q_off, q_on - q_off, candidates[r][3])[0]
+            # q1's lambda_max also counts the components left alone; taking the gain
+            # against the same routine's lambda_max makes an unchanged one exactly 0
+            rest[rows] = next((top[c] for c in by_top if comps[c][0] not in verts), 0.0)
+            order.extend(rows)
+            stack = np.broadcast_to(np.eye(len(verts)), (len(rows),) + (len(verts),) * 2).copy()
+            stack[:, pair_j, pair_i] = q1  # the lower triangle, all that eigvalsh reads
+            yield stack
 
-    entries = []
-    for (edge_index, i, j, p), lam in zip(candidates, _top_eigenvalues(changed_blocks())):
-        value, method = derivatives.popleft()
-        # q1's lambda_max also counts the components left alone; taking the gain
-        # against the same routine's lambda_max makes an unchanged one exactly 0
-        rest = next((top[c] for c in by_top if c not in (comp_of[i], comp_of[j])), 0.0)
-        entries.append(
-            RankedEdge(
-                edge_index=edge_index,
-                i=i,
-                j=j,
-                probability=p,
-                dlambda=value,
-                derivative_method=method,
-                headroom=1.0 - p,
-                projected_gain=max(lam, rest) - top[by_top[0]],
-            )
-        )
+    tops = np.fromiter(_top_eigenvalues(group_stacks()), float, len(candidates))  # in `order`
+    gains = np.maximum(tops[np.argsort(order)], rest) - top[by_top[0]]
+    method = "rayleigh" if simple else "finite_difference"
+    entries = [
+        RankedEdge(edge_index, i, j, p, value, method, 1.0 - p, gain)
+        for (edge_index, i, j, p), value, gain in zip(candidates, dlambda.tolist(), gains.tolist())
+    ]
     entries.sort(key=lambda e: (-e.projected_gain, e.i, e.j))
     return SensitivityRanking(entries=entries, lambda_max=float(w[0]))

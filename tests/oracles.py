@@ -11,7 +11,8 @@ The SplitMix64 edge draws that the Monte Carlo count fixture was recorded
 with live here too, so the fixture stays checkable after the engine moved
 to NumPy's Philox stream.  So does the link ranking of earlier versions,
 two exact evaluations per candidate link, as the reference of the one-pass
-ranking.
+ranking, and a loop that unpacks the forced pass's groups into one pair of
+dense matrices per vertex pair, for the tests that hold them to these.
 """
 
 from __future__ import annotations
@@ -273,6 +274,34 @@ def rank_per_candidate(g, include_absent=False):
         entries.append(RankedEdge(edge_index, i, j, p, value, method, 1.0 - p, gain))
     entries.sort(key=lambda e: (-e.projected_gain, e.i, e.j))
     return entries
+
+
+def slices_by_pair(pairs, groups):
+    """The groups (verts, rows, q0, q1) of `exact._forced_link_slices(g, pairs)` as one
+    (verts, q0, q1) per pair, in pair order, with q0 and q1 dense symmetric matrices.
+
+    Checks the layout on the way: blocks come smallest first, each pair lies in
+    its group's block and in exactly one group, rows ascend, and q0 and q1 hold
+    one row of values per pair of the block's vertices, row-major over i < j.
+    """
+    out = [None] * len(pairs)
+    size = 0
+    for verts, rows, q0, q1 in groups:
+        b = len(verts)
+        assert b >= size and list(rows) == sorted(set(rows))
+        assert q0.shape == q1.shape == (len(rows), b * (b - 1) // 2)
+        size = b
+        for r, before, after in zip(rows, q0, q1):
+            assert out[r] is None and set(pairs[r]) <= set(verts)
+            dense = []
+            for values in (before, after):
+                matrix = np.eye(b)
+                for value, (i, j) in zip(values, itertools.combinations(range(b), 2)):
+                    matrix[i, j] = matrix[j, i] = value
+                dense.append(matrix)
+            out[r] = (verts, *dense)
+    assert all(entry is not None for entry in out)
+    return out
 
 
 def chord_path_connectivity(p_path, p_chord) -> np.ndarray:

@@ -345,30 +345,32 @@ class TestRunCommand:
         assert "Traceback" not in err
 
     def test_same_bytes_for_any_blas_thread_count(self, tmp_path):
-        # 2^20 states: the exact engine sums each run of states with one gemv
-        pairs = [(i, j) for i in range(10) for j in range(i + 1, 10)][:20]
-        path = tmp_path / "m20.pg"
-        path.write_text(format_graph_file(build_graph(10, [(i, j, 0.3 + 0.03 * k)
-                                                            for k, (i, j) in enumerate(pairs)])))
+        # 2^20 and 2^22 states: the exact engine sums each run of states with one gemv
+        pairs = [(i, j) for i in range(10) for j in range(i + 1, 10)]
         src = str(Path(cli.__file__).parents[1])
         outputs = {}
-        # rank sums each run of its forced pass with one gemm against a shared table,
+        # rank sums each run of its forced pass with one gemv per weight column against a
+        # shared table (a gemm's sums varied with the thread count on the 22-link graph),
         # and mc each vertex's pairs in a slice of sampled states with one gemv
         mc = ["mc", "--samples", "20000", "--seed", "1"]
-        for command in (["compute"], ["rank", "--include-absent"], mc):
-            for threads in ("1", "2"):
-                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-                    filter(None, [src, os.environ.get("PYTHONPATH")])))
-                done = subprocess.run(
-                    [sys.executable, "-m", "probconn.cli", *command, "--input", str(path)],
-                    capture_output=True, env=env, timeout=120, check=True,
-                )
-                outputs[command[0], threads] = done.stdout
-        assert outputs["compute", "1"] == outputs["compute", "2"]
-        assert outputs["rank", "1"] == outputs["rank", "2"]
-        assert outputs["mc", "1"] == outputs["mc", "2"]
-        assert json.loads(outputs["compute", "1"])["q"][0][9] > 0
-        assert len(json.loads(outputs["rank", "1"])["ranking"]) == 45
+        for m in (20, 22):
+            path = tmp_path / f"m{m}.pg"
+            path.write_text(format_graph_file(build_graph(10, [(i, j, 0.3 + 0.03 * k)
+                                                                for k, (i, j) in enumerate(pairs[:m])])))
+            for command in (["compute"], ["rank", "--include-absent"]) + ((mc,) if m == 20 else ()):
+                for threads in ("1", "2"):
+                    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                        filter(None, [src, os.environ.get("PYTHONPATH")])))
+                    done = subprocess.run(
+                        [sys.executable, "-m", "probconn.cli", *command, "--input", str(path)],
+                        capture_output=True, env=env, timeout=120, check=True,
+                    )
+                    outputs[command[0], m, threads] = done.stdout
+        for command, m, _ in outputs:
+            assert outputs[command, m, "1"] == outputs[command, m, "2"]
+        assert json.loads(outputs["compute", 20, "1"])["q"][0][9] > 0
+        assert len(json.loads(outputs["rank", 20, "1"])["ranking"]) == 45
+        assert len(json.loads(outputs["rank", 22, "1"])["ranking"]) == 45
 
     def test_document_layout(self, capsys, triangle_file, path4_file, monkeypatch):
         head = ["schema_version", "tool_version", "command", "n", "m"]

@@ -20,7 +20,12 @@ from probconn import exact as exact_module
 from probconn import graph as graph_module
 from probconn.exact import _forced_link_slices
 from graphgen import random_graph
-from oracles import _bfs_labels as bfs_labels, chord_path_connectivity, connectivity_by_enumeration
+from oracles import (
+    _bfs_labels as bfs_labels,
+    chord_path_connectivity,
+    connectivity_by_enumeration,
+    slices_by_pair,
+)
 
 PATH3 = build_graph(3, [(0, 1, 0.9), (1, 2, 0.8)])
 TRIANGLE = build_graph(3, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)])
@@ -173,11 +178,12 @@ class TestExactConnectivity:
         assert np.array_equal(exact_connectivity(g), exact_connectivity(g))
 
 
-# one component of 20 links on 10 vertices: 2^20 states, 8 MiB for one
-# float64 per state
-M20 = build_graph(
-    10, [(i, j, 0.3 + 0.03 * k) for k, (i, j) in enumerate(itertools.combinations(range(10), 2))
-         if k < 20]
+# one component of 20 (22) links on 10 vertices: 2^20 (2^22) states, 8 (32) MiB
+# for one float64 per state
+M20, M22 = (
+    build_graph(10, [(i, j, 0.3 + 0.03 * k)
+                     for k, (i, j) in enumerate(itertools.combinations(range(10), 2)) if k < m])
+    for m in (20, 22)
 )
 
 
@@ -240,10 +246,10 @@ class TestPartitionTable:
         widths = self._spy_merges(monkeypatch)
         path, chord = CHORD_PATH
         pairs = [(0, 1), (0, 2), (5, 6)]
-        q, slices = _forced_link_slices(CHORDED, pairs)
+        q, groups = _forced_link_slices(CHORDED, pairs)
         assert widths and set(widths) == {17}
         np.testing.assert_allclose(q, chord_path_connectivity(path, chord), rtol=0, atol=1e-14)
-        for (i, j), (verts, q0, q1) in zip(pairs, slices):
+        for (i, j), (verts, q0, q1) in zip(pairs, slices_by_pair(pairs, groups)):
             assert verts == list(range(17))
             for forced, t in [(q0, 0.0), (q1, 1.0)]:
                 edited = np.array(path)
@@ -252,26 +258,49 @@ class TestPartitionTable:
                 expected = chord_path_connectivity(edited, t if (i, j) == (0, 2) else chord)
                 np.testing.assert_allclose(forced, expected, rtol=0, atol=1e-14)
 
-    def test_dense_block_merges_rows_and_walks_the_rest(self, monkeypatch):
-        # M20's table fills twice, is merged each time, and the links that still
-        # do not fit are walked; at 1/32 of the slice its first nine links (a
-        # star, no cycle) fill the table, nothing merges, and the rest is walked
-        widths, runs = self._spy_merges(monkeypatch), []
+    @staticmethod
+    def _spy_runs(monkeypatch):
+        runs = []  # the rows of each run
         prefix_labels = graph_module._prefix_labels
 
         def counted(*args):
             for run in prefix_labels(*args):
-                runs.append(run)
+                runs.append(run[0].shape[1])
                 yield run
 
         monkeypatch.setattr(exact_module, "_prefix_labels", counted)
+        return runs
+
+    def test_dense_block_merges_rows_and_walks_the_rest(self, monkeypatch):
+        # at 1/32 of the slice M20's table fills twice, is merged each time, and the
+        # links that still do not fit are walked; the default slice walks fewer
+        widths, runs = self._spy_merges(monkeypatch), self._spy_runs(monkeypatch)
         with monkeypatch.context() as patched:
             patched.setattr(graph_module, "_SLICE_BYTES", graph_module._SLICE_BYTES >> 5)
             walked = exact_connectivity(M20)
-        assert widths == [] and len(runs) == 1 << 15
+        assert widths == [10, 10] and len(runs) == 1 << 13
+        widths.clear()
         runs.clear()
         np.testing.assert_allclose(exact_connectivity(M20), walked, rtol=0, atol=1e-14)
-        assert widths == [10, 10] and 1 < len(runs) < 1 << 15
+        assert widths == [10, 10] and 1 < len(runs) < 1 << 13
+
+    def test_links_join_breadth_first(self, monkeypatch):
+        # in canonical order vertex 0's star filled the table before any cycle closed,
+        # and M20 walked 512 runs (1024 in the forced pass), M22 2048 (4096)
+        runs = self._spy_runs(monkeypatch)
+        for g in (M20, M22):
+            exact_connectivity(g)
+            assert len(runs) <= 64
+            runs.clear()
+            _forced_link_slices(g, [(0, 1)])
+            assert len(runs) <= 128
+            runs.clear()
+
+    def test_table_order_is_breadth_first_from_a_vertex_of_highest_degree(self):
+        # the path 3 - 0 - 1 - 2 with the chord (1, 3), and the link (4, 5): the search
+        # starts at vertex 1 and finds 0, 2 and 3, so 1's star joins first, (0, 3) closes
+        # the cycle, and the link of vertices it does not reach joins last
+        assert graph_module._link_order(6, [0, 0, 1, 1, 4], [1, 3, 2, 3, 5]) == [0, 2, 3, 1, 4]
 
 
 class TestExactInvariants:

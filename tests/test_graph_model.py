@@ -219,6 +219,14 @@ class TestStatePairSums:
         assert sums.tolist() == [sum(int(w) for w, on in zip(weights, col) if on) for col in indicators.T]
 
 
+def _joined_order(n, eu, ev, runs):
+    """The order in which _prefix_labels joined the links: their own when its one run
+    holds all 2^m states, else breadth first, as a table too small for them takes them."""
+    if len(runs) == 1 and runs[0][0].shape[1] == 1 << len(eu):
+        return np.arange(len(eu))
+    return np.array(graph_module._link_order(n, eu.tolist(), ev.tolist()), dtype=int)
+
+
 class TestPrefixLabels:
     # state_bytes = 3 and _SLICE_BYTES = 3 * 2^t + 2 give a table of at most 2^t rows
     @pytest.mark.parametrize("t", [0, 2, 5, 40])
@@ -232,6 +240,8 @@ class TestPrefixLabels:
             eu, ev = np.array([(i, j) for i, j, _ in g.edges], dtype=int).reshape(g.m, 2).T
             p = rng.uniform(0.1, 0.9, g.m)
             runs = list(graph_module._prefix_labels(g.n, eu, ev, p, 1 - p, 3))
+            order = _joined_order(g.n, eu, ev, runs)  # from here on links count in join order
+            eu, ev, p = eu[order], ev[order], p[order]
             low = g.m - (len(runs).bit_length() - 1)  # the table's links
             assert len(runs) == 1 << g.m - low
             for r, (lab, w, factor) in enumerate(runs):
@@ -253,6 +263,7 @@ class TestPrefixLabels:
         eu, ev, p = np.array([0, 1, 0]), np.array([1, 2, 2]), np.array([0.3, 0.6, 0.8])
         runs = list(graph_module._prefix_labels(3, eu, ev, p, 1 - p, graph_module._SLICE_BYTES + 1))
         assert [lab.shape for lab, _, _ in runs] == [(3, 1)] * 8
+        p = p[_joined_order(3, eu, ev, runs)]  # (0, 1), (0, 2), then (1, 2) closes the cycle
         for s, (_, w, factor) in enumerate(runs):  # ascending masks, one state's weight each
             bits = [(s >> k) & 1 for k in range(3)]
             assert w.tolist() == [1.0]

@@ -32,7 +32,12 @@ from probconn import graph as graph_module
 from probconn import montecarlo
 from probconn.exact import _forced_link_slices
 from probconn.graph import _pattern_blocks, _search
-from oracles import components_and_cut_vertices, connectivity_by_enumeration, relay_fold_by_loops
+from oracles import (
+    components_and_cut_vertices,
+    connectivity_by_enumeration,
+    relay_fold_by_loops,
+    slices_by_pair,
+)
 
 # exact 0 and 1 (links that never or always come up) and the extreme
 # doubles next to them, besides any probability in between
@@ -129,12 +134,12 @@ def _check_forced_link_slices(g):
     # every vertex pair: a link is set to 0 and to 1, an absent pair stays out or is added at 1;
     # only the block on i's support component, then j's if that is another one, may change
     pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
-    forced_q, slices = _forced_link_slices(g, pairs)
+    forced_q, groups = _forced_link_slices(g, pairs)
     q = connectivity_by_enumeration(g.n, g.edges)
     np.testing.assert_allclose(forced_q, q, rtol=0, atol=1e-12)
     comps = components_and_cut_vertices(g.n, [(i, j) for i, j, p in g.edges if p > 0.0])[0]
     comp_of = {v: comp for comp in comps for v in comp}
-    for (i, j), (verts, q0, q1) in zip(pairs, slices):
+    for (i, j), (verts, q0, q1) in zip(pairs, slices_by_pair(pairs, groups)):
         assert verts == comp_of[i] + (comp_of[j] if comp_of[j] != comp_of[i] else [])
         if (i, j) in {e[:2] for e in g.edges}:
             ref0, ref1 = (
@@ -163,9 +168,9 @@ def test_results_do_not_depend_on_the_slice_size(g, seed):
     runs = []
     for size in [1, 200, 4096, graph_module._SLICE_BYTES]:
         with patch.object(graph_module, "_SLICE_BYTES", size):
-            forced_q, slices = _forced_link_slices(g, pairs)
+            forced_q, groups = _forced_link_slices(g, pairs)
             est = mc_connectivity(g, 300, seed)
-            runs.append((exact_connectivity(g), forced_q, list(slices), est))
+            runs.append((exact_connectivity(g), forced_q, slices_by_pair(pairs, groups), est))
     ref = connectivity_by_enumeration(g.n, g.edges)
     probability = {(i, j): p for i, j, p in g.edges}
     for q, forced_q, slices, est in runs:

@@ -18,7 +18,7 @@ from probconn import graph as graph_module
 from probconn import sensitivity as sensitivity_module
 from probconn.exact import _forced_link_slices
 from graphgen import random_connected_graph, random_graph
-from oracles import connectivity_by_enumeration, rank_per_candidate
+from oracles import connectivity_by_enumeration, rank_per_candidate, slices_by_pair
 
 PATH3 = build_graph(3, [(0, 1, 0.9), (1, 2, 0.8)])
 TRIANGLE = build_graph(3, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)])
@@ -251,8 +251,9 @@ class TestOnePassRanking:
         for slice_bytes in [graph_module._SLICE_BYTES, 200]:
             monkeypatch.setattr(graph_module, "_SLICE_BYTES", slice_bytes)
             runs.append([
-                list(_forced_link_slices(g, list(itertools.combinations(range(g.n), 2)))[1])
+                slices_by_pair(pairs, _forced_link_slices(g, pairs)[1])
                 for g in graphs
+                for pairs in [list(itertools.combinations(range(g.n), 2))]
             ])
         for default, small in zip(*runs):
             for (verts, q0, q1), (ref_verts, r0, r1) in zip(default, small):
@@ -279,9 +280,11 @@ class TestStackedEigenvalues:
             a = rng.uniform(0.1, 1.0, (size, size))
             blocks.append(a + a.T)
         alone = [float(np.linalg.eigvalsh(b)[-1]) for b in blocks]
+        # stacks of sizes 1, 3 3, 2, 3 and 5 5, read from their lower triangles only
+        stacks = [np.tril(np.stack(list(run))) for _, run in itertools.groupby(blocks, len)]
         for slice_bytes in [1, 200, graph_module._SLICE_BYTES]:
             monkeypatch.setattr(graph_module, "_SLICE_BYTES", slice_bytes)
-            assert list(sensitivity_module._top_eigenvalues(blocks)) == alone
+            assert list(sensitivity_module._top_eigenvalues(stacks)) == alone
 
     def test_one_decomposition_and_one_stack_per_block_size(self, monkeypatch):
         # components of 1, 2, 3 and 4 vertices; candidates change blocks of 2 to 7

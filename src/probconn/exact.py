@@ -99,19 +99,20 @@ def state_probability(g: ProbGraph, state: Sequence[int]) -> float:
 def _enumerate_block(nverts: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
     """Exact connectivity matrix of one component by full state enumeration
     of the links between the classes of vertices that its sure links join."""
-    classes = _search(nverts, [(u, v) for u, v, p in edges if p == 1.0])[0]
-    rep = [c for _, c in sorted((v, c) for c, verts in enumerate(classes) for v in verts)]
-    between = [(rep[u], rep[v], p) for u, v, p in edges if rep[u] != rep[v]]
-    if not between:  # one class, always connected
+    if any(p == 1.0 for _, _, p in edges):  # enumerate one vertex per class
+        classes = _search(nverts, [(u, v) for u, v, p in edges if p == 1.0])[0]
+        rep = [c for _, c in sorted((v, c) for c, verts in enumerate(classes) for v in verts)]
+        between = [(rep[u], rep[v], p) for u, v, p in edges if rep[u] != rep[v]]
+        return _enumerate_block(len(classes), between)[np.ix_(rep, rep)]
+    if not edges:  # one vertex
         return np.ones((nverts, nverts))
-    eu, ev, probs = (np.array(column) for column in zip(*between))
-    pair_i, pair_j = _upper_pairs(len(classes))
-    state_bytes = 12 * len(pair_i) + 24 + len(classes) * (len(eu) + 2)  # indicators, table, walk
+    eu, ev, probs = (np.array(column) for column in zip(*edges))
+    pair_i, pair_j = _upper_pairs(nverts)
+    state_bytes = 12 * len(pair_i) + 24 + nverts * (len(eu) + 2)  # indicators, table, walk
     sums = np.zeros(len(pair_i))
-    for lab, w, factor in _prefix_labels(len(classes), eu, ev, probs, 1.0 - probs, state_bytes):
+    for lab, w, factor in _prefix_labels(nverts, eu, ev, probs, 1.0 - probs, state_bytes):
         sums += ((lab[pair_i] == lab[pair_j]) @ w) * factor
-    cq = _pair_matrix(len(classes), np.minimum(sums, 1.0))  # sums can overshoot 1 by an ulp
-    return cq if len(classes) == nverts else cq[np.ix_(rep, rep)]
+    return _pair_matrix(nverts, np.minimum(sums, 1.0))  # sums can overshoot 1 by an ulp
 
 
 def _support_links(

@@ -9,10 +9,11 @@ critical vertices and relay compositions come from plain loops instead of
 per-relay products on stacked blocks.
 The SplitMix64 edge draws that the Monte Carlo count fixture was recorded
 with live here too, so the fixture stays checkable after the engine moved
-to NumPy's Philox stream.  So does the link ranking of earlier versions,
-two exact evaluations per candidate link, as the reference of the one-pass
-ranking, and a loop that unpacks the forced pass's groups into one pair of
-dense matrices per vertex pair, for the tests that hold them to these.
+to NumPy's Philox stream.  The one-pass link ranking is held to a ranking
+by two enumerations per candidate link, whose derivatives take the tied
+eigenvectors of one dense `np.linalg.eigh` of the whole matrix, and a loop
+unpacks the forced pass's groups into one pair of dense matrices per vertex
+pair, for the tests that hold them to these.
 """
 
 from __future__ import annotations
@@ -238,39 +239,34 @@ def critical_by_loops(q, tol):
 
 
 def rank_per_candidate(g, include_absent=False):
-    """Link ranking with two exact evaluations per candidate link.
+    """Link ranking with two enumerations of edited edge lists per candidate link.
 
-    The ranking of earlier versions: `affine_slice` of every link, each
-    absent pair first added as a p = 0 link with `add_edge`, then the
-    derivative and the gain of pushing the link to 1.  The derivative is
-    the Rayleigh quotient x' slope x, summed with math.fsum, while the top
-    eigenvalue leads the next by more than 1e-8, and otherwise a central
-    difference of step 1e-5.  Returns the entries as a list of `RankedEdge`,
-    sorted like `rank_improvements`.
+    Each link's q0 and q1 come from `connectivity_by_enumeration` with the
+    link's probability set to 0 and to 1 (an absent pair added as a new
+    link).  The derivative is the top eigenvalue of X' slope X, with X the
+    eigenvectors of every eigenvalue of Q within 1e-8 of the largest, from
+    one dense `np.linalg.eigh` of the whole Q: "rayleigh" for one vector,
+    "eigenspace" for more.  The gain is the top eigenvalue of q1 less that
+    of Q, both by Jacobi rotations.  Returns the entries as a list of `RankedEdge`, sorted like
+    `rank_improvements`.
     """
-    from probconn import add_edge, affine_slice, exact_connectivity, sym_eig
     from probconn.sensitivity import RankedEdge
 
-    w, vecs = sym_eig(exact_connectivity(g))
-    x = vecs[:, 0]
-    simple = len(w) == 1 or w[0] - w[1] > 1e-8
-    candidates = [(idx, i, j, p, g, idx) for idx, (i, j, p) in enumerate(g.edges)]
+    q = connectivity_by_enumeration(g.n, g.edges)
+    w, vecs = np.linalg.eigh(q)
+    x = vecs[:, w >= w[-1] - 1e-8]
+    method = "rayleigh" if x.shape[1] == 1 else "eigenspace"
+    candidates = [(idx, i, j, p) for idx, (i, j, p) in enumerate(g.edges)]
     if include_absent:
         present = {(i, j) for i, j, _ in g.edges}
-        for i, j in itertools.combinations(range(g.n), 2):
-            if (i, j) not in present:
-                grown = add_edge(g, i, j, 0.0)
-                candidates.append((None, i, j, 0.0, grown, grown.index_of(i, j)))
+        pairs = itertools.combinations(range(g.n), 2)
+        candidates += [(None, i, j, 0.0) for i, j in pairs if (i, j) not in present]
     entries = []
-    for edge_index, i, j, p, host, host_idx in candidates:
-        slc = affine_slice(host, host_idx)
-        if simple:
-            value = math.fsum((np.outer(x, x) * slc.slope).ravel())
-            method = "rayleigh"
-        else:
-            lam_hi, lam_lo = (float(sym_eig(slc.at(p + h))[0][0]) for h in (1e-5, -1e-5))
-            value, method = (lam_hi - lam_lo) / 2e-5, "finite_difference"
-        gain = float(sym_eig(slc.q1)[0][0]) - float(w[0])
+    for edge_index, i, j, p in candidates:
+        others = [edge for edge in g.edges if edge[:2] != (i, j)]
+        q0, q1 = (connectivity_by_enumeration(g.n, others + [(i, j, t)]) for t in (0.0, 1.0))
+        value = float(eigvals_descending(x.T @ (q1 - q0) @ x)[0])
+        gain = float(eigvals_descending(q1)[0] - eigvals_descending(q)[0])
         entries.append(RankedEdge(edge_index, i, j, p, value, method, 1.0 - p, gain))
     entries.sort(key=lambda e: (-e.projected_gain, e.i, e.j))
     return entries

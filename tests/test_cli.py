@@ -242,10 +242,10 @@ class TestRunCommand:
         "text, links, dlambda, gains",
         [
             ("n 1\n", [], [], []),  # no candidates: nothing to stack
-            # singleton components: a tied top eigenvalue, so finite differences;
-            # each candidate's changed block has size 2
-            ("n 3\n", [(None, 0, 1, "finite_difference"), (None, 0, 2, "finite_difference"),
-                        (None, 1, 2, "finite_difference")], [0.0] * 3, [1.0] * 3),
+            # singleton components: a tied top eigenvalue, so each derivative takes the
+            # tied eigenspace (lambda_max rises as 1 + t); each changed block has size 2
+            ("n 3\n", [(None, 0, 1, "eigenspace"), (None, 0, 2, "eigenspace"),
+                        (None, 1, 2, "eigenspace")], [1.0] * 3, [1.0] * 3),
             # blocks of size 2 (the link (0, 1), and (2, 3) joining two singletons)
             # and size 3 (a singleton joined to the link's component)
             ("n 4\ne 0 1 0.5\n",

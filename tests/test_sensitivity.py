@@ -6,6 +6,7 @@ import pytest
 
 from probconn import (
     EdgeLimitExceeded,
+    GraphValidationError,
     affine_slice,
     build_graph,
     exact_connectivity,
@@ -59,6 +60,14 @@ class TestAffineSlice:
                 slc = affine_slice(g, edge)
                 assert np.all(slc.slope >= -1e-15)
 
+    @pytest.mark.parametrize("edge", [-1, 3])
+    def test_rejects_an_edge_index_outside_the_links(self, edge):
+        # -1 would silently pick the last link
+        with pytest.raises(GraphValidationError, match="outside"):
+            affine_slice(TRIANGLE, edge)
+        with pytest.raises(GraphValidationError, match="outside"):
+            lambda_derivative(TRIANGLE, edge)
+
     def test_propagates_edge_limit(self):
         with pytest.raises(EdgeLimitExceeded):
             affine_slice(TRIANGLE, 0, max_edges=2)
@@ -108,16 +117,17 @@ class TestLambdaDerivative:
 
         monkeypatch.setattr(sensitivity_module, "exact_connectivity", counted)
         d = lambda_derivative(TRIANGLE, 0)
-        assert len(calls) == 2  # the link forced off and on; Q is their affine mix
+        affine_slice(TRIANGLE, 0)
+        assert calls == []  # one forced pass gives Q and the link forced off and on
         assert d.value == pytest.approx(_fd_lambda(TRIANGLE, 0), abs=1e-6)
 
-    def test_degenerate_top_eigenvalue_falls_back_to_differences(self):
+    def test_tied_top_eigenvalue_takes_the_rate_from_above(self):
         # twin components force an exactly repeated lambda_max
         g = build_graph(4, [(0, 1, 0.5), (2, 3, 0.5)])
         d = lambda_derivative(g, 0)
-        assert d.method == "finite_difference"
-        # lambda_max(t) = max(1 + t, 1.5): left slope 0, right slope 1
-        assert d.value == pytest.approx(0.5, abs=1e-4)
+        assert d.method == "eigenspace"
+        # lambda_max(t) = max(1 + t, 1.5): slope 0 below t = 0.5, 1 above
+        assert d.value == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
 class TestRankImprovements:
@@ -184,9 +194,9 @@ class TestRankImprovements:
 def _reference_graphs():
     """Seeded graphs with p = 0 and p = 1 links, most of them disconnected,
     plus twin components (a tied top eigenvalue), a p = 0 bridge, and two and
-    three identical triangles.  On the triangles every candidate takes the
-    finite difference, and on one side of it the top eigenvalue outside the
-    changed block decides."""
+    three identical triangles.  On the triangles every derivative takes the
+    tied eigenspace, and a candidate inside one triangle leaves the others'
+    top eigenvectors off its block."""
     rng = np.random.default_rng(53)
     triangle = [(0, 1, 0.6), (1, 2, 0.7), (0, 2, 0.8)]
     graphs = [
@@ -227,6 +237,24 @@ class TestOnePassRanking:
                 if rank_of[first.i, first.j] > rank_of[later.i, later.j]:
                     gap = by_pair[first.i, first.j].projected_gain - by_pair[later.i, later.j].projected_gain
                     assert abs(gap) <= 1e-12
+
+    @pytest.mark.parametrize("g", [
+        build_graph(3, []),
+        build_graph(4, [(0, 1, 0.5), (2, 3, 0.5)]),
+        *_reference_graphs()[-2:],  # two and three identical triangles
+    ])
+    def test_tied_derivatives_match_one_sided_difference_quotients(self, g):
+        # lambda_max(p + h) - lambda_max(p) over h, each from plain enumeration
+        h = 1e-7
+        lam = lambda edges: np.linalg.eigvalsh(connectivity_by_enumeration(g.n, edges))[-1]
+        ranking = rank_improvements(g, include_absent=True).entries
+        for e in ranking:
+            others = [edge for edge in g.edges if edge[:2] != (e.i, e.j)]
+            quotient = (lam(others + [(e.i, e.j, e.probability + h)]) - lam(g.edges)) / h
+            assert e.derivative_method == "eigenspace"
+            assert e.dlambda == pytest.approx(quotient, rel=0, abs=1e-6)
+        if g.m == 2:  # twin links: each link at 1, each joining candidate at 1.125
+            assert sorted(e.dlambda for e in ranking) == pytest.approx([1.0] * 2 + [1.125] * 4)
 
     def test_takes_q_from_the_forced_pass(self, monkeypatch):
         calls = []

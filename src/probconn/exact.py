@@ -7,25 +7,25 @@ path-probability matrix is the state-probability-weighted sum of the
 per-state connectivity indicators, so states of one partition are summed
 before any indicator is formed.
 
-Links with p = 0 are left out and sure links (p = 1) contracted: only the
-links between the vertex classes that sure links join are enumerated, on
-one vertex per class.  :func:`probconn.graph._prefix_labels` adds the links
-to a table of label rows and summed weights (breadth first if it cannot
-hold every state, so cycles close early), merges equal rows when it fills
-its slice, and walks the links left depth first in runs (the set-partition
-recursion of Hardy, Lucet and Limnios, IEEE Trans. Reliab. 56(3), 2007).
-A run's pair sums are gemv products in a fixed order: bit-identical output.
-Enumeration runs independently inside each support component; entries
-across components are exactly zero by construction.
+Links with p = 0 are left out.  :func:`probconn.graph._prefix_labels` adds
+the links to a table of label rows and summed weights (breadth first if it
+cannot hold every state, so cycles close early), merges equal rows when it
+fills its slice, and walks the links left depth first in runs (the
+set-partition recursion of Hardy, Lucet and Limnios, IEEE Trans. Reliab.
+56(3), 2007); a sure link (p = 1) joins every row in place.  A run's pair
+sums are gemv products in a fixed order: bit-identical output.  Enumeration
+runs independently inside each support component; entries across components
+are exactly zero by construction.
 
-Link ranking enumerates each component once too: that pass yields its block
-and, grouped by the block they change, every link's pair values with that
-link forced off and on (:func:`_forced_link_slices`).
+There is one pass, :func:`_forced_link_slices`: it yields each component's
+block and, grouped by the block they change, the pair values of every link
+it is asked about with that link forced off and on.  Asked about no link it
+is :func:`exact_connectivity`; link ranking asks about every link.
 
 This is deliberately the brute-force definition: it serves as the trusted
 reference the sampling engine and all analyses are checked against.  Cost
 grows exponentially with the largest component's edge count, which is why
-both passes enforce a per-component edge limit.
+the pass enforces a per-component edge limit.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .graph import (
     _merge,
     _pair_matrix,
     _prefix_labels,
-    _search,
     _upper_pairs,
     build_graph,
     support_components,
@@ -84,7 +83,7 @@ def conditional_connectivity(g: ProbGraph, state: Sequence[int]) -> np.ndarray:
     """
     bits = _check_state(g, state)
     sure = build_graph(g.n, [(i, j, float(b)) for (i, j, _), b in zip(g.edges, bits)])
-    return exact_connectivity(sure, max_edges=g.m)  # a 0/1 graph enumerates nothing
+    return exact_connectivity(sure, max_edges=g.m)  # each table holds one row: its links are sure
 
 
 def state_probability(g: ProbGraph, state: Sequence[int]) -> float:
@@ -96,30 +95,13 @@ def state_probability(g: ProbGraph, state: Sequence[int]) -> float:
     return prob
 
 
-def _enumerate_block(nverts: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
-    """Exact connectivity matrix of one component by full state enumeration
-    of the links between the classes of vertices that its sure links join."""
-    if any(p == 1.0 for _, _, p in edges):  # enumerate one vertex per class
-        classes = _search(nverts, [(u, v) for u, v, p in edges if p == 1.0])[0]
-        rep = [c for _, c in sorted((v, c) for c, verts in enumerate(classes) for v in verts)]
-        between = [(rep[u], rep[v], p) for u, v, p in edges if rep[u] != rep[v]]
-        return _enumerate_block(len(classes), between)[np.ix_(rep, rep)]
-    if not edges:  # one vertex
-        return np.ones((nverts, nverts))
-    eu, ev, probs = (np.array(column) for column in zip(*edges))
-    pair_i, pair_j = _upper_pairs(nverts)
-    state_bytes = 12 * len(pair_i) + 24 + nverts * (len(eu) + 2)  # indicators, table, walk
-    sums = np.zeros(len(pair_i))
-    for lab, w, factor in _prefix_labels(nverts, eu, ev, probs, 1.0 - probs, state_bytes):
-        sums += ((lab[pair_i] == lab[pair_j]) @ w) * factor
-    return _pair_matrix(nverts, np.minimum(sums, 1.0))  # sums can overshoot 1 by an ulp
-
-
-def _support_links(
-    g: ProbGraph, max_edges: int
-) -> tuple[list[list[int]], dict[int, tuple[int, int]], list[list[tuple[int, int, float]]]]:
-    """Support components, each vertex's (component, local index), and each
-    component's links with p > 0 as (local u, local v, p) in canonical order.
+def _support_links(g: ProbGraph, max_edges: int) -> tuple[
+    list[list[int]], dict[int, tuple[int, int]], list[list[tuple[int, int, float]]],
+    dict[tuple[int, int], int],
+]:
+    """Support components, each vertex's (component, local index), each
+    component's links with p > 0 as (local u, local v, p) in canonical order,
+    and each such link's index in its component's list by its pair (i, j).
 
     A link with p = 0 never comes up and joins nothing; enumerating it would
     only double the states.  Raises EdgeLimitExceeded when some component
@@ -128,9 +110,11 @@ def _support_links(
     blocks = support_components(g)
     position = {v: (b, local) for b, verts in enumerate(blocks) for local, v in enumerate(verts)}
     links: list[list[tuple[int, int, float]]] = [[] for _ in blocks]
+    index: dict[tuple[int, int], int] = {}
     for i, j, p in g.edges:
         if p > 0.0:
             b, li = position[i]
+            index[i, j] = len(links[b])
             links[b].append((li, position[j][1], p))
     for verts, edges in zip(blocks, links):
         if len(edges) > max_edges:
@@ -139,60 +123,58 @@ def _support_links(
                 f"enumeration limit of {max_edges}; use the Monte Carlo "
                 f"engine or raise max_edges"
             )
-    return blocks, position, links
+    return blocks, position, links, index
 
 
 def exact_connectivity(g: ProbGraph, max_edges: int = DEFAULT_MAX_EDGES) -> np.ndarray:
-    """Exact path-probability matrix of `g`.
+    """Exact path-probability matrix of `g`: the pass of :func:`_forced_link_slices`
+    asked about no link, whose table carries one weight column.
 
     Enumerates the edge states of each support component separately and
     assembles the block-diagonal result; entries between different
-    components are exactly 0.
-
-    Links with p = 0 are left out and links with p = 1 contracted.  Raises
-    EdgeLimitExceeded when some component holds more than `max_edges` links
-    with p > 0, sure ones included; the Monte Carlo engine is the fallback.
+    components are exactly 0.  Links with p = 0 are left out and links with
+    p = 1 join every partition in place.  Raises EdgeLimitExceeded when some
+    component holds more than `max_edges` links with p > 0, sure ones
+    included; the Monte Carlo engine is the fallback.
     """
-    blocks, _, links = _support_links(g, max_edges)
-    if len(blocks) == 1:  # one component: its block is the matrix
-        return _enumerate_block(g.n, links[0])
-    q = np.zeros((g.n, g.n))
-    for verts, edges in zip(blocks, links):
-        q[np.ix_(verts, verts)] = _enumerate_block(len(verts), edges)
-    return q
+    return _forced_link_slices(g, (), max_edges)[0]
 
 
 def _forced_block_sums(
-    nverts: int, edges: list[tuple[int, int, float]], extra: list[tuple[int, int]]
+    nverts: int,
+    edges: list[tuple[int, int, float]],
+    forced: list[int],
+    extra: list[tuple[int, int]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pair sums of one component, also with each link forced off and on, from one enumeration.
+    """Pair sums of one component, also with some links forced off and on, from one enumeration.
 
-    `edges` are the component's m links with p > 0 as (u, v, p) and `extra`
-    lists vertex pairs (a, b) that hold no such link.  Returns (own, q0, q1),
-    pair values in np.triu_indices(nverts, 1) order: own holds the
-    component's pair sums, row r of q0 and q1 the sums with link r forced
-    off and on, or for r >= m without and with a sure link on extra[r - m].
+    `edges` are the component's m links with p > 0 as (u, v, p), `forced`
+    indexes f of them and `extra` lists vertex pairs (a, b) that hold no
+    such link.  Returns (own, q0, q1), pair values in np.triu_indices(nverts, 1)
+    order: own holds the component's pair sums, row r of q0 and q1 the sums
+    with link forced[r] forced off and on, or for r >= f without and with a
+    sure link on extra[r - f].
 
     Forcing link e on (off) weighs state s by [e is on (off) in s] times the
     leave-one-out product prod_{l != e} f_l(s), where f_l(s) is p_l when
     link l is on in s and 1 - p_l when it is off.  The products are taken
-    without division, so p = 1 links work; for the same reason states of
-    zero probability are enumerated too.  Each of the 2m + 1 columns (link e
-    forced on, forced off, as drawn) is one weight column of the partition
-    table of :func:`probconn.graph._prefix_labels`: a run is a gemv a column.
-    A sure link on (a, b) is a's and b's labels merged in a copy of each
-    run's, weighed like the own column, or the run's own sums when a and b
-    share a label in every row.
+    without division, so a p = 1 link works: forced, it doubles the table like
+    any other, else it joins every row in place.  Each of the 2f + 1 columns
+    (link forced[r] forced on, forced off, the last as drawn) is one weight
+    column of the table of :func:`probconn.graph._prefix_labels`: a run is a
+    gemv a column.  A sure link on (a, b) is a's and b's labels merged in a
+    copy of each run's, weighed like the own column, or the run's own sums
+    when a and b share a label in every row.
     """
-    m = len(edges)
+    m, f = len(edges), len(forced)
     eu, ev, probs = (np.array(column) for column in zip(*edges))
     pair_i, pair_j = _upper_pairs(nverts)
-    on = np.repeat(probs[:, None], 2 * m + 1, axis=1)  # row k: link k's factor per column
-    off, k = 1.0 - on, np.arange(m)
-    on[k, k], off[k, k] = 1.0, 0.0  # column e: link e forced on
-    on[k, m + k], off[k, m + k] = 0.0, 1.0  # column m + e: forced off; the last as drawn
-    sums, joined = np.zeros((2 * m + 1, len(pair_i))), np.zeros((len(extra), len(pair_i)))
-    state_bytes = 12 * len(pair_i) + 16 * m + 24 + nverts * (m + 2)  # indicators, table, walk
+    on = np.repeat(probs[:, None], 2 * f + 1, axis=1)  # row k: link k's factor per column
+    for r, e in enumerate(forced):  # column r: link e forced on, column f + r: forced off
+        on[e, r], on[e, f + r] = 1.0, 0.0
+    off = 1.0 - on  # the last column as drawn
+    sums, joined = np.zeros((2 * f + 1, len(pair_i))), np.zeros((len(extra), len(pair_i)))
+    state_bytes = 12 * len(pair_i) + 16 * f + 24 + nverts * (m + 2)  # indicators, table, walk
     for lab, w, factor in _prefix_labels(nverts, eu, ev, on, off, state_bytes):
         # one matrix-vector product per column: a gemm's sums vary with the BLAS thread count
         run = np.matmul(lab[pair_i] == lab[pair_j], w.T[:, :, None])[:, :, 0] * factor[:, None]
@@ -204,9 +186,9 @@ def _forced_block_sums(
                 merged = lab.copy()  # runs share their labels
                 _merge(merged, a, b)
                 joined[r] += ((merged[pair_i] == merged[pair_j]) @ w[:, -1]) * factor[-1]
-    own = sums[-1]
-    q0 = np.vstack([sums[m : 2 * m], np.broadcast_to(own, (len(extra), len(own)))])
-    return np.minimum(own, 1.0), np.minimum(q0, 1.0), np.minimum(np.vstack([sums[:m], joined]), 1.0)
+    sums, joined = np.minimum(sums, 1.0), np.minimum(joined, 1.0)  # sums can overshoot 1 by an ulp
+    q0 = sums[[*range(f, 2 * f), *[2 * f] * len(extra)]]  # an absent pair's off value is the own
+    return sums[-1], q0, np.concatenate((sums[:f], joined))
 
 
 def _forced_link_slices(
@@ -215,7 +197,8 @@ def _forced_link_slices(
     """Q of `g`, and its blocks with the link on each vertex pair forced off and on.
 
     `pairs` lists vertex pairs (i, j), i < j.  Returns Q, which is
-    exact_connectivity(g, max_edges) up to rounding and raises alike, and an
+    exact_connectivity(g, max_edges) when `pairs` holds no link of `g` with
+    p > 0 and equal to it up to rounding otherwise, raising alike, and an
     iterator of (verts, rows, q0, q1) per block that pairs change, smallest
     first: pairs[r] for r in `rows` (ascending) changes only the block on
     `verts`, i's support component followed by j's if that is another one,
@@ -227,28 +210,32 @@ def _forced_link_slices(
     q1[u, v] = q[u, i] * q[j, v] for u in A and v in B, since the two sides
     are independent.
     """
-    blocks, position, links = _support_links(g, max_edges)
-    row = {  # a pair inside a component: its row of the component's forced sums
-        (blocks[b][u], blocks[b][v]): e
-        for b, edges in enumerate(links)
-        for e, (u, v, _) in enumerate(edges)
-    }
-    extra: list[list[tuple[int, int]]] = [[] for _ in blocks]
+    blocks, position, links, index = _support_links(g, max_edges)
     groups: dict[tuple[int, int], list[int]] = {}  # (i's component, j's): rows of pairs
     for r, (i, j) in enumerate(pairs):
+        groups.setdefault((position[i][0], position[j][0]), []).append(r)
+    forced: list[list[int]] = [[] for _ in blocks]  # a component's links asked about
+    extra: list[list[tuple[int, int]]] = [[] for _ in blocks]  # and its other pairs
+    row: dict[tuple[int, int], int] = {}  # a pair inside a component: its row of the forced sums
+    for i, j in sorted(dict.fromkeys(pairs), key=lambda pair: pair not in index):  # links first
         (b, li), (c, lj) = position[i], position[j]
-        if b == c and (i, j) not in row:
-            row[i, j] = len(links[b]) + len(extra[b])
-            extra[b].append((li, lj))
-        groups.setdefault((b, c), []).append(r)
+        if b == c:
+            row[i, j] = len(forced[b]) + len(extra[b])
+            if (i, j) in index:
+                forced[b].append(index[i, j])
+            else:
+                extra[b].append((li, lj))
     sums = [
-        _forced_block_sums(len(verts), edges, more) if edges else None
-        for verts, edges, more in zip(blocks, links, extra)
+        _forced_block_sums(len(verts), edges, asked, absent) if edges else None
+        for verts, edges, asked, absent in zip(blocks, links, forced, extra)
     ]
     own = [_pair_matrix(len(verts), s[0] if s else ()) for verts, s in zip(blocks, sums)]
-    q = np.zeros((g.n, g.n))
-    for verts, block in zip(blocks, own):
-        q[np.ix_(verts, verts)] = block
+    if len(blocks) == 1:  # one component: its block is Q
+        q = own[0]
+    else:
+        q = np.zeros((g.n, g.n))
+        for verts, block in zip(blocks, own):
+            q[np.ix_(verts, verts)] = block
 
     def grouped() -> Iterator[tuple[list[int], list[int], np.ndarray, np.ndarray]]:
         for b, c in sorted(groups, key=lambda bc: sum(len(blocks[k]) for k in set(bc))):

@@ -245,14 +245,17 @@ def _prefix_labels(
     the (n, rows) labels `lab` labels each vertex with the smallest vertex of
     its component and stands for states of summed weight w[c] * factor.  Edges
     join one table in order, breadth first (:func:`_link_order`) if it cannot
-    hold all 2^m states, doubling it (every row an off row and an on row) until
-    it would pass _SLICE_BYTES at `state_bytes` a row, or four times the
-    partitions of n vertices.  From then on an edge that closes a cycle keeps
-    the rows in which its ends share a label and splits the others, and a full
-    table merges its equal rows.  The edges that still do not fit are walked
-    depth first, one run per state of theirs in ascending order (in join
-    order), about one merge a run.  Runs share arrays: do not write to them.
+    hold all 2^m states: a sure edge, whose off factor is 0 in every column,
+    joins every row in place, and any other doubles the table (every row an
+    off row and an on row) until it would pass _SLICE_BYTES at `state_bytes` a
+    row, or four times the partitions of n vertices.  From then on an edge that
+    closes a cycle keeps the rows in which its ends share a label and splits
+    the others, and a full table merges its equal rows.  The edges that still
+    do not fit are walked depth first, one run per state of theirs in
+    ascending order (in join order), about one merge a run.  Runs share
+    arrays: do not write to them.
     """
+    sure = (off == 0).all(axis=tuple(range(1, off.ndim))).tolist()  # off is 0 in every column
     m, cap = len(eu), min(1 << len(eu), max(1, _SLICE_BYTES // state_bytes))  # the table's rows
     bell = [1]  # Bell triangle: n vertices have at most bell[-1] partitions, so past four
     while len(bell) < n and bell[-1] <= cap:  # times that many rows most rows are equal
@@ -261,13 +264,19 @@ def _prefix_labels(
     eu, ev = eu.tolist(), ev.tolist()
     if 1 << m > cap:  # cycles that close early let the table merge before it walks links
         order = _link_order(n, eu, ev)
-        eu, ev, on, off = [eu[k] for k in order], [ev[k] for k in order], on[order], off[order]
+        eu, ev, sure = ([column[k] for k in order] for column in (eu, ev, sure))
+        on, off = on[order], off[order]
     lab = np.empty((n, cap), dtype=np.min_scalar_type(n))
     w = np.empty((cap,) + np.shape(on)[1:])
     lab[:, 0], w[0], rows = np.arange(n), 1.0, 1
     t, since, cycle = 0, 0, None  # edges since .. t - 1 joined after the last merge
     while t < m:
         u, v = eu[t], ev[t]
+        if sure[t]:
+            _merge(lab[:, :rows], u, v)
+            w[:rows] *= on[t]
+            t += 1
+            continue
         if cycle and cycle[t]:  # known once the table first fills
             split = np.flatnonzero(lab[u, :rows] != lab[v, :rows])
             src = lab[:, :rows].take(split, axis=1)
@@ -299,7 +308,9 @@ def _prefix_labels(
         if k > t:
             joined = run.copy()
             _merge(joined, eu[k - 1], ev[k - 1])
-            stack += [(k - 1, joined, factor * on[k - 1]), (k - 1, run, factor * off[k - 1])]
+            stack.append((k - 1, joined, factor * on[k - 1]))
+            if not sure[k - 1]:
+                stack.append((k - 1, run, factor * off[k - 1]))
         else:
             yield run, w[:rows], factor
 

@@ -8,6 +8,7 @@ import pytest
 from probconn import (
     EdgeLimitExceeded,
     add_edge,
+    affine_slice,
     build_graph,
     conditional_connectivity,
     exact_connectivity,
@@ -87,7 +88,8 @@ def _traced_peak(run):
 
 class TestStateWeights:
     def test_weights_are_the_state_probabilities(self):
-        # a partition's row weighs the summed probability of the states that induce it
+        # a partition's rows weigh the summed probability of the states that induce it; the
+        # sure link (0, 2) joins every row in place, so partitions of weight 0 may have no row
         g = build_graph(5, [(0, 1, 0.3), (1, 2, 0.9), (2, 3, 1 / 3), (0, 3, 0.0), (0, 2, 1.0),
                             (1, 3, 0.6), (3, 4, 0.7)])
         eu, ev, p = (np.array(column) for column in zip(*g.edges))
@@ -103,9 +105,9 @@ class TestStateWeights:
         for lab, w, factor in graph_module._prefix_labels(g.n, eu, ev, p, 1 - p, 1):
             for column, weight in zip(lab.T.tolist(), w * factor):
                 got.setdefault(tuple(column), []).append(weight)
-        assert got.keys() == expected.keys()
-        for labels, weights in expected.items():
-            assert math.fsum(got[labels]) == pytest.approx(math.fsum(weights), abs=1e-15)
+        for labels in got.keys() | expected.keys():
+            assert math.fsum(got.get(labels, ())) == pytest.approx(
+                math.fsum(expected.get(labels, ())), abs=1e-15)
 
 
 class TestExactConnectivity:
@@ -145,7 +147,7 @@ class TestExactConnectivity:
         self.test_matches_oracle_on_random_graphs()
 
     def test_sure_links_are_contracted_before_enumeration(self):
-        # 6 sure links join 0..6 into one class; 12 uncertain links join it,
+        # 6 sure links join 0..6 in every row in place; 12 uncertain links join it,
         # 7, 8 and 9, so 2^12 states are enumerated instead of 2^18
         sure = [(v, v + 1, 1.0) for v in range(6)]
         shared = [(i, j, 0.3 + 0.05 * i) for j in (7, 8, 9) for i in range(3)]
@@ -153,14 +155,13 @@ class TestExactConnectivity:
         assert _traced_peak(lambda: exact_connectivity(g)) < 1 << 20
 
     def test_corner_graph_enumerates_nothing(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a graph of sure and absent links needs no enumeration")
-
-        monkeypatch.setattr(exact_module, "_prefix_labels", refuse)
+        # sure links join the one row of each component's table in place, absent ones are left out
+        runs = TestPartitionTable._spy_runs(monkeypatch)
         g = build_graph(6, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 0.0), (2, 3, 0.0), (4, 5, 1.0)])
         expected = np.zeros((6, 6))
         expected[:3, :3] = expected[3, 3] = expected[4:, 4:] = 1.0
         np.testing.assert_array_equal(exact_connectivity(g), expected)
+        assert runs == [1, 1]  # one run of one row for {0, 1, 2} and for {4, 5}
 
     def test_edge_limit_is_per_component(self):
         g = build_graph(
@@ -217,6 +218,15 @@ class TestStreamedEnumeration:
 # triangle's 8 states give 5 partitions
 CHORD_PATH = 0.3 + 0.04 * np.arange(16), 0.55
 CHORDED = build_graph(17, [(k, k + 1, p) for k, p in enumerate(CHORD_PATH[0])] + [(0, 2, CHORD_PATH[1])])
+
+
+# two chains of sure links, 0 - 1 - ... - 14 and 15 - 16 - ... - 30, joined by three
+# uncertain links: 2^32 states if sure links doubled the table like the others
+TWO_CHAINS = build_graph(
+    31,
+    [(v, v + 1, 1.0) for v in [*range(14), *range(15, 30)]]
+    + [(0, 15, 0.5), (7, 22, 0.6), (14, 30, 0.7)],
+)
 
 
 class TestPartitionTable:
@@ -295,6 +305,32 @@ class TestPartitionTable:
             _forced_link_slices(g, [(0, 1)])
             assert len(runs) <= 128
             runs.clear()
+
+    def test_sure_links_join_every_row_in_place(self, monkeypatch):
+        # 29 of the 32 links are sure: only the 3 uncertain ones double the table, so one
+        # run of at most 2^3 rows holds every state
+        runs = self._spy_runs(monkeypatch)
+        q = exact_connectivity(TWO_CHAINS, max_edges=32)
+        expected = np.full((31, 31), 1 - 0.5 * 0.4 * 0.3)  # some joining link comes up
+        expected[:15, :15] = expected[15:, 15:] = 1.0
+        np.testing.assert_allclose(q, expected, rtol=0, atol=1e-15)
+        assert len(runs) == 1 and runs[0] <= 8
+        assert _traced_peak(lambda: exact_connectivity(TWO_CHAINS, max_edges=32)) < 1 << 20
+
+    def test_one_weight_column_per_question(self, monkeypatch):
+        # Q alone carries one column; each link asked about adds its forced-on and forced-off one
+        widths = []
+        prefix_labels = graph_module._prefix_labels
+
+        def spy(n, eu, ev, on, off, state_bytes):
+            widths.append(on.shape[1])
+            return prefix_labels(n, eu, ev, on, off, state_bytes)
+
+        monkeypatch.setattr(exact_module, "_prefix_labels", spy)
+        exact_connectivity(M20)
+        affine_slice(M20, 0)
+        rank_improvements(M20)
+        assert widths == [1, 3, 41]
 
     def test_table_order_is_breadth_first_from_a_vertex_of_highest_degree(self):
         # the path 3 - 0 - 1 - 2 with the chord (1, 3), and the link (4, 5): the search

@@ -65,9 +65,9 @@ def _settings(examples):
 
 
 EXTREMES = build_graph(4, [(0, 1, 0.0), (1, 2, 1.0), (2, 3, 5e-324), (0, 3, 1.0 - 2.0**-53)])
-# sure links join {0, 1, 2}, which holds the uncertain link (0, 2) and reaches
-# 3 over two links that become parallel once the class is one vertex; {4, 5}
-# is all sure and 6 is isolated
+# sure links join {0, 1, 2} in every row, which holds the uncertain link (0, 2)
+# and reaches 3 over two links that become parallel once 0 and 2 share a label;
+# {4, 5} is all sure and 6 is isolated
 CONTRACTED = build_graph(
     7, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 0.4), (0, 3, 0.3), (2, 3, 0.6), (4, 5, 1.0)]
 )
@@ -113,27 +113,40 @@ def test_exact_matches_enumeration_oracle_at_any_slice_size(g, size):
     np.testing.assert_allclose(q, connectivity_by_enumeration(g.n, g.edges), rtol=0, atol=1e-13)
 
 
+# which vertex pairs (i, j), i < j, in row-major order, _check_forced_link_slices asks about;
+# 21 flags cover the pairs of 7 vertices
+PAIR_MASKS = st.lists(st.booleans(), min_size=21, max_size=21)
+EVERY_PAIR = [True] * 21
+# of CONTRACTED's pairs (0, 1), (0, 5), (1, 4), (2, 4), (3, 5) and (5, 6): the sure link
+# (0, 1) is forced off and doubles the table, the sure (1, 2) and (4, 5) join it in place
+EVERY_FOURTH_PAIR = [k % 4 == 0 for k in range(21)]
+
+
 @_settings(40)
-@given(graphs())
-@example(EXTREMES)
-@example(CONTRACTED)
-def test_forced_link_slices_match_enumeration_oracle(g):
-    _check_forced_link_slices(g)
+@given(graphs(), PAIR_MASKS)
+@example(EXTREMES, EVERY_PAIR)
+@example(CONTRACTED, EVERY_PAIR)
+@example(CONTRACTED, EVERY_FOURTH_PAIR)
+def test_forced_link_slices_match_enumeration_oracle(g, mask):
+    _check_forced_link_slices(g, mask)
 
 
 @_settings(30)
-@given(graphs(max_n=5, max_m=8), SLICE_SIZES)
-@example(K4_AND_ONE, 8192)
-@example(CONTRACTED, 200)
-def test_forced_link_slices_match_enumeration_oracle_at_any_slice_size(g, size):
+@given(graphs(max_n=5, max_m=8), SLICE_SIZES, PAIR_MASKS)
+@example(K4_AND_ONE, 8192, EVERY_PAIR)
+@example(CONTRACTED, 200, EVERY_PAIR)
+@example(CONTRACTED, 200, EVERY_FOURTH_PAIR)
+def test_forced_link_slices_match_enumeration_oracle_at_any_slice_size(g, size, mask):
     with patch.object(graph_module, "_SLICE_BYTES", size):
-        _check_forced_link_slices(g)
+        _check_forced_link_slices(g, mask)
 
 
-def _check_forced_link_slices(g):
-    # every vertex pair: a link is set to 0 and to 1, an absent pair stays out or is added at 1;
-    # only the block on i's support component, then j's if that is another one, may change
-    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+def _check_forced_link_slices(g, mask):
+    # the vertex pairs that `mask` flags: a link is set to 0 and to 1, an absent pair stays out
+    # or is added at 1; only the block on i's support component, then j's if that is another
+    # one, may change.  A sure link that is not asked about joins every row in place
+    every = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+    pairs = [pair for pair, asked in zip(every, mask) if asked]
     forced_q, groups = _forced_link_slices(g, pairs)
     q = connectivity_by_enumeration(g.n, g.edges)
     np.testing.assert_allclose(forced_q, q, rtol=0, atol=1e-12)

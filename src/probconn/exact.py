@@ -40,7 +40,6 @@ from .graph import (
     _pair_matrix,
     _prefix_labels,
     _upper_pairs,
-    build_graph,
     support_components,
 )
 
@@ -82,8 +81,11 @@ def conditional_connectivity(g: ProbGraph, state: Sequence[int]) -> np.ndarray:
     component once only the edges flagged 1 are kept.  Diagonal is 1.
     """
     bits = _check_state(g, state)
-    sure = build_graph(g.n, [(i, j, float(b)) for (i, j, _), b in zip(g.edges, bits)])
-    return exact_connectivity(sure, max_edges=g.m)  # each table holds one row: its links are sure
+    kept = ProbGraph(g.n, tuple((i, j, 1.0) for (i, j, _), b in zip(g.edges, bits) if b))
+    label = np.empty(g.n, dtype=np.intp)
+    for c, verts in enumerate(support_components(kept)):
+        label[verts] = c
+    return (label[:, None] == label).astype(float)  # a block of ones per component
 
 
 def state_probability(g: ProbGraph, state: Sequence[int]) -> float:

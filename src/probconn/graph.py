@@ -138,7 +138,7 @@ def adjacency_matrix(g: ProbGraph) -> np.ndarray:
 
 # Working memory per slice of states: about 10 bytes per vertex and one per
 # edge and state in _state_pair_sums, so 1 MiB holds ~3.3k states at n = 28
-# with 40 edges.
+# with 40 edges.  It also sizes Monte Carlo's chunks of packed states.
 _SLICE_BYTES = 1 << 20
 
 
@@ -146,15 +146,6 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the vertex pairs i < j, in np.triu_indices(n, 1) order."""
     idx = np.arange(n)
     return np.nonzero(idx[:, None] < idx)  # np.triu_indices(n, 1), cheaper
-
-
-def _pack_states(on: np.ndarray) -> np.ndarray:
-    """The (states, m) bool rows `on` as packed edge states: ceil(m / 64)
-    little-endian 64-bit words per row, bit k % 64 of word k // 64 for edge k."""
-    words = -(-on.shape[1] // 64)
-    bits = np.pad(on, ((0, 0), (0, 64 * words - on.shape[1])))
-    # one flat packbits: many times faster than packbits(..., axis=1)
-    return np.packbits(bits, bitorder="little").view("<u8").reshape(len(on), words)
 
 
 def _merge(lab: np.ndarray, u: int, v: int, on: np.ndarray | None = None) -> None:
@@ -177,11 +168,12 @@ def _state_labels(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Component labels of packed edge states, a slice of about _SLICE_BYTES at a time.
 
-    Row s of `states` is a packed state (:func:`_pack_states`; a column of
-    non-negative 64-bit bitmasks is one word per state) whose bit k switches
-    edge (eu[k], ev[k]) on; `state_bytes` is the caller's working memory per
-    state.  Yields (lo, lab) per slice: column c of lab labels each vertex of
-    state lo + c with the smallest vertex of its component.
+    Row s of `states` is a packed state, ceil(m / 64) little-endian 64-bit
+    words (a column of non-negative 64-bit bitmasks is one word per state),
+    whose bit k % 64 of word k // 64 switches edge (eu[k], ev[k]) on;
+    `state_bytes` is the caller's working memory per state.  Yields (lo, lab)
+    per slice: column c of lab labels each vertex of state lo + c with the
+    smallest vertex of its component.
     """
     start = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
     step = max(1, _SLICE_BYTES // state_bytes)

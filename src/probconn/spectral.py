@@ -8,9 +8,10 @@ component, entrywise-dominance comparison of two networks, and the
 certificate for the all-or-nothing block structure that appears when every
 link probability is 0 or 1.
 
-Eigenvalues come from LAPACK (np.linalg.eigh), called once per block of the
-matrix's nonzero pattern.  Every entry point rejects non-square,
-asymmetric or non-finite input with ValueError.
+Eigenvalues come from LAPACK (np.linalg.eigh), called once per size of the
+blocks of the matrix's nonzero pattern on a stack of the blocks of that
+size.  Every entry point rejects non-square, asymmetric or non-finite
+input with ValueError.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _pattern_blocks
+from .graph import _gather, _pattern_blocks, _size_stacks
 
 __all__ = [
     "CornerCertificate",
@@ -86,28 +87,31 @@ def _check_tolerance(tolerance: float) -> None:
 
 
 def sym_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a dense symmetric matrix, one LAPACK call per block.
+    """Eigendecomposition of a dense symmetric matrix, one LAPACK call per block size.
 
     The vertices are grouped into blocks by the nonzero off-diagonal
-    pattern and each block is decomposed by np.linalg.eigh.  Returns
-    (eigenvalues sorted descending, eigenvectors as matching unit columns);
-    ties keep block order.  Each column is zero outside its block, so
-    block-diagonal inputs keep exact zeros in their eigenvectors, also under
-    a vertex permutation and when eigenvalues tie across blocks.
+    pattern, and the blocks of each size are decomposed as one stack by
+    np.linalg.eigh.  Returns (eigenvalues sorted descending, eigenvectors as
+    matching unit columns); ties keep block order.  Each column is zero
+    outside its block, so block-diagonal inputs keep exact zeros in their
+    eigenvectors, also under a vertex permutation and when eigenvalues tie
+    across blocks.
 
     Raises ValueError for asymmetric or non-finite input, and LAPACK's
     np.linalg.LinAlgError if a block does not converge.
     """
     a = _square_symmetric(matrix)
     n = a.shape[0]
-    w = np.empty(n)
-    v = np.zeros((n, n))
-    col = 0
-    for block in _pattern_blocks(a != 0.0):
-        idx = np.array(block)
-        end = col + len(block)
-        w[col:end], v[idx, col:end] = np.linalg.eigh(a[np.ix_(idx, idx)])
-        col = end
+    blocks = _pattern_blocks(a != 0.0)
+    if len(blocks) == 1:
+        w, v = np.linalg.eigh(a)
+    else:
+        w = np.empty(n)
+        v = np.zeros((n, n))
+        # a block's columns sit where block order puts them, so ties keep block order
+        cols = np.split(np.arange(n), np.cumsum([len(block) for block in blocks[:-1]]))
+        for idx, col in zip(_size_stacks(blocks), _size_stacks(cols)):
+            w[col], v[idx[:, :, None], col[:, None, :]] = np.linalg.eigh(_gather(a, idx))
     order = np.argsort(-w, kind="stable")
     return w[order], v[:, order]
 

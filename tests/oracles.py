@@ -9,11 +9,13 @@ critical vertices and relay compositions come from plain loops instead of
 per-relay products on stacked blocks.
 The SplitMix64 edge draws that the Monte Carlo count fixture was recorded
 with live here too, so the fixture stays checkable after the engine moved
-to NumPy's Philox stream.  The one-pass link ranking is held to a ranking
-by two enumerations per candidate link, whose derivatives take the tied
-eigenvectors of one dense `np.linalg.eigh` of the whole matrix, and a loop
-unpacks the forced pass's groups into one pair of dense matrices per vertex
-pair, for the tests that hold them to these.
+to NumPy's Philox stream.  Bool edge rows are packed into state words
+with np.pad and one flat packbits, where the engine packs its comparison
+bits straight from raw Philox words.  The one-pass link ranking is held
+to a ranking by two enumerations per candidate link, whose derivatives
+take the tied eigenvectors of one dense `np.linalg.eigh` of the whole
+matrix, and a loop unpacks the forced pass's groups into one pair of
+dense matrices per vertex pair, for the tests that hold them to these.
 """
 
 from __future__ import annotations
@@ -130,6 +132,14 @@ def splitmix64_uniforms(seed, lo, hi, m) -> np.ndarray:
         t = np.arange(lo, hi, dtype=np.uint64)[:, None] * np.uint64(m)
         bits = mix(s + (t + np.arange(m, dtype=np.uint64) + np.uint64(1)) * gamma)
     return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def pack_states(on) -> np.ndarray:
+    """The (states, m) bool rows `on` as packed edge states: ceil(m / 64)
+    little-endian 64-bit words per row, bit k % 64 of word k // 64 for edge k."""
+    words = -(-on.shape[1] // 64)
+    bits = np.pad(on, ((0, 0), (0, 64 * words - on.shape[1])))
+    return np.packbits(bits, bitorder="little").view("<u8").reshape(len(on), words)
 
 
 def pair_indicators(n, active_edges) -> list[int]:

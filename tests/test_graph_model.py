@@ -12,7 +12,7 @@ from probconn import (
     with_edge_probability,
 )
 from graphgen import random_graph
-from oracles import pair_indicators
+from oracles import pack_states, pair_indicators
 from probconn import graph as graph_module
 
 
@@ -153,7 +153,7 @@ class TestStatePairSums:
             ).reshape(len(states), -1)
             for weights in (np.ones(len(states)), rng.integers(1, 9, len(states))):
                 sums = graph_module._state_pair_sums(
-                    g.n, ends[:, 0], ends[:, 1], graph_module._pack_states(states), weights
+                    g.n, ends[:, 0], ends[:, 1], pack_states(states), weights
                 )
                 assert sums.dtype == weights.dtype
                 np.testing.assert_array_equal(sums, weights @ indicators)
@@ -170,7 +170,7 @@ class TestStatePairSums:
         drawn = rng.random((12, m)) < rng.uniform(0.0, 0.4, (12, 1))
         lone = [k for k in (0, 62, 63, 64, 127, 128, m - 1) if k < m]
         states = np.vstack([drawn, np.eye(m, dtype=bool)[lone], np.zeros(m, bool), np.ones(m, bool)])
-        packed = graph_module._pack_states(states)
+        packed = pack_states(states)
         assert packed.shape == (len(states), -(-m // 64))
         for k, words in zip(lone, packed[12:]):  # edge k is bit k % 64 of word k // 64
             assert words.tolist() == [1 << k % 64 if w == k // 64 else 0 for w in range(len(words))]
@@ -191,7 +191,7 @@ class TestStatePairSums:
         m = len(ends)
         drawn = rng.random((10, m)) < rng.uniform(0.5, 1.0, (10, 1))
         states = np.vstack([drawn, np.zeros(m, bool), np.ones(m, bool)])
-        packed = graph_module._pack_states(states)
+        packed = pack_states(states)
         for _, lab in graph_module._state_labels(n, ends[:, 0], ends[:, 1], packed, 1):
             assert lab.dtype == np.uint16
             assert lab.max() < n
@@ -212,7 +212,7 @@ class TestStatePairSums:
         states = np.vstack([rng.random((10, m)) < 0.4, np.zeros(m, bool), np.ones(m, bool)])
         weights = (1 << 40) + 2 * rng.integers(0, 1 << 20, len(states)) + 1
         indicators = np.array([pair_indicators(n, ends[row]) for row in states])
-        packed = graph_module._pack_states(states)
+        packed = pack_states(states)
         sums = graph_module._state_pair_sums(n, ends[:, 0], ends[:, 1], packed, weights)
         assert sums.dtype == np.int64
         assert 1 << 31 < weights.sum() < 1 << 53

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from probconn import build_graph, ci_halfwidth, exact_connectivity, mc_connectivity
+from probconn import graph as graph_module
 from probconn import montecarlo
 from probconn.graph import _state_pair_sums
 from graphgen import random_graph
-from oracles import splitmix64_uniforms
+from oracles import pack_states, splitmix64_uniforms
 
 TRIANGLE = build_graph(3, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)])
 PINNED = json.loads((Path(__file__).parent / "mc_counts_fixture.json").read_text())
@@ -27,8 +28,16 @@ PHILOX_WIDE_70 = [
 
 
 def _budget_for(chunk: int, m: int) -> int:
-    """A _DRAW_BYTES value that makes mc_connectivity draw `chunk` samples at a time."""
-    return chunk * 8 * 4 * -(-m // 4)
+    """A _SLICE_BYTES value that makes mc_connectivity draw `chunk` samples at a time:
+    a chunk holds half a slice of packed states, ceil(m / 64) words of 8 bytes each."""
+    return chunk * 16 * -(-m // 64)
+
+
+def _spy(monkeypatch, name: str) -> list[tuple]:
+    """The arguments of every call of montecarlo's `name`, which still runs."""
+    calls, real = [], getattr(montecarlo, name)
+    monkeypatch.setattr(montecarlo, name, lambda *args: calls.append(args) or real(*args))
+    return calls
 
 
 def _pair_counts(est) -> list[int]:
@@ -73,29 +82,41 @@ class TestMcConnectivity:
         runs = [(TRIANGLE, 30_000, 9)] + [
             (build_graph(c["n"], c["edges"]), c["samples"], c["seed"]) for c in PINNED["cases"]
         ]
-        default = montecarlo._DRAW_BYTES
+        # the slice also sets the draw sub-slices: one sample each up to 7-sample chunks
+        default, kernel_calls = graph_module._SLICE_BYTES, _spy(monkeypatch, "_state_pair_sums")
         for g, samples, seed in runs:
-            monkeypatch.setattr(montecarlo, "_DRAW_BYTES", default)
+            monkeypatch.setattr(graph_module, "_SLICE_BYTES", default)
             base = mc_connectivity(g, samples, seed)
             for chunk in (1, 7, 333, 999, 1 << 20):
-                monkeypatch.setattr(montecarlo, "_DRAW_BYTES", _budget_for(chunk, g.m))
+                monkeypatch.setattr(graph_module, "_SLICE_BYTES", _budget_for(chunk, g.m))
+                kernel_calls.clear()
                 est = mc_connectivity(g, samples, seed)
                 assert np.array_equal(est.q_hat, base.q_hat), (g.m, chunk)
+                # one kernel call a chunk: a chunk of 1 sample is one call per sample
+                assert len(kernel_calls) == -(-samples // chunk), (g.m, chunk)
 
-    def test_default_budget_draws_65536_narrow_samples_per_chunk(self):
+    def test_default_budget_draws_65536_narrow_samples_per_chunk(self, monkeypatch):
+        draws = _spy(monkeypatch, "_edge_states")
+        pairs = list(itertools.combinations(range(10), 2))
         for m in (13, 16):
-            assert montecarlo._DRAW_BYTES // _budget_for(1, m) == 1 << 16
+            draws.clear()
+            mc_connectivity(build_graph(10, [(i, j, 0.5) for i, j in pairs[:m]]), 65_537, 1)
+            assert [(lo, hi) for _, lo, hi, _ in draws] == [(0, 1 << 16), (1 << 16, 65_537)]
 
     def test_peak_memory_follows_the_draw_budget_not_the_sample_count(self):
-        # 20000 samples x 90 edges of float64 draws alone would take 13.7 MiB
-        g = build_graph(20, [(i, j, 0.3) for i, j in itertools.combinations(range(20), 2)][:90])
-        tracemalloc.start()
-        try:
-            mc_connectivity(g, samples=20_000, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= montecarlo._DRAW_BYTES + (4 << 20), peak
+        # 20000 samples x 90 edges of float64 draws alone would take 13.7 MiB, and
+        # 100000 x 16 of them 12.2 MiB; a chunk holds half a slice of packed states
+        # and draws its raw words a quarter slice at a time
+        cases = [(20, 90, 20_000), (10, 16, 100_000)]
+        for n, m, samples in cases:
+            g = build_graph(n, [(i, j, 0.3) for i, j in itertools.combinations(range(n), 2)][:m])
+            tracemalloc.start()
+            try:
+                mc_connectivity(g, samples=samples, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 << 20, (n, m, peak)
 
     def test_different_seeds_differ(self):
         a = mc_connectivity(TRIANGLE, samples=10_000, seed=0)
@@ -133,11 +154,11 @@ class TestMcConnectivity:
         g = build_graph(case["n"], case["edges"])
         eu, ev, probs = (np.array(column) for column in zip(*g.edges))
         samples = case["samples"]
-        on = splitmix64_uniforms(case["seed"], 0, samples, g.m) < probs
+        packed = pack_states(splitmix64_uniforms(case["seed"], 0, samples, g.m) < probs)
         for chunk in (1, 7, 333, samples):
             counts = np.zeros(g.n * (g.n - 1) // 2, dtype=np.int64)
             for lo in range(0, samples, chunk):
-                states, weights = montecarlo._distinct_states(on[lo : lo + chunk])
+                states, weights = montecarlo._distinct_states(packed[lo : lo + chunk])
                 counts += _state_pair_sums(g.n, eu, ev, states, weights)
             assert counts.tolist() == case["counts"], chunk
 
@@ -145,13 +166,19 @@ class TestMcConnectivity:
 class TestPhiloxStream:
     @pytest.mark.parametrize("m", [3, 16, 70])
     @pytest.mark.parametrize("seed", [0, 7, -1, 2**64 + 5, 2**130 + 3])
-    def test_chunks_read_one_long_philox_stream(self, m, seed):
+    def test_chunks_read_one_long_philox_stream(self, m, seed, monkeypatch):
         w = -(-m // 4)
         raw = np.random.Philox(key=seed % 2**128).random_raw((40, 4 * w))
-        expected = (raw[:, :m] >> np.uint64(11)) * 2.0**-53
-        for lo, hi in ((0, 40), (0, 1), (13, 14), (5, 29), (39, 40)):
-            got = montecarlo._edge_uniforms(seed, lo, hi, m)
-            assert np.array_equal(got, expected[lo:hi]), (lo, hi)
+        p = np.random.default_rng(m).random(m)
+        p[0], p[-1] = 0.0, 1.0
+        expected = pack_states((raw[:, :m] >> np.uint64(11)) * 2.0**-53 < p)
+        thresholds = montecarlo._thresholds(p)
+        # the default slice draws each window at once, 384 w bytes three samples at a time
+        for slice_bytes in (graph_module._SLICE_BYTES, 384 * w):
+            monkeypatch.setattr(graph_module, "_SLICE_BYTES", slice_bytes)
+            for lo, hi in ((0, 40), (0, 1), (13, 14), (5, 29), (39, 40)):
+                got = montecarlo._edge_states(seed, lo, hi, thresholds)
+                assert np.array_equal(got, expected[lo:hi]), (slice_bytes, lo, hi)
 
     def test_pinned_counts(self):
         # golden counts of the Philox draws: any change to the stream, its

@@ -19,6 +19,7 @@ from probconn import (
     articulation_points,
     build_graph,
     ci_halfwidth,
+    conditional_connectivity,
     exact_connectivity,
     format_graph_file,
     mc_connectivity,
@@ -35,6 +36,7 @@ from probconn.graph import _pattern_blocks, _search
 from oracles import (
     components_and_cut_vertices,
     connectivity_by_enumeration,
+    pair_indicators,
     relay_fold_by_loops,
     slices_by_pair,
 )
@@ -81,6 +83,18 @@ def test_exact_matches_enumeration_oracle(g):
     np.testing.assert_allclose(
         exact_connectivity(g), connectivity_by_enumeration(g.n, g.edges), rtol=0, atol=1e-13
     )
+
+
+@_settings(100)
+@given(graphs(), st.integers(0, 2**9 - 1))
+@example(EXTREMES, 0b1111)  # the p = 0 link (0, 1) is kept when flagged 1
+@example(CONTRACTED, 0b011000)
+def test_conditional_connectivity_matches_breadth_first_search(g, mask):
+    bits = [mask >> k & 1 for k in range(g.m)]
+    kept = [(i, j) for (i, j, _), b in zip(g.edges, bits) if b]
+    expected = np.eye(g.n)
+    expected[np.triu_indices(g.n, 1)] = pair_indicators(g.n, kept)
+    assert np.array_equal(conditional_connectivity(g, bits), np.maximum(expected, expected.T))
 
 
 @_settings(60)
@@ -204,16 +218,36 @@ def test_results_do_not_depend_on_the_slice_size(g, seed):
 
 @_settings(60)
 @given(graphs(), st.integers(0, 2**64 - 1), st.integers(1, 300),
-       st.one_of(st.integers(1, 1 << 12), st.integers(1, montecarlo._DRAW_BYTES)))
+       st.one_of(st.integers(1, 1 << 12), st.integers(1, graph_module._SLICE_BYTES)))
 @example(EXTREMES, 0, 300, 1)
-@example(CONTRACTED, 3, 257, 32 * 2 * 5 + 31)  # 6 links: 5 samples a chunk, 31 bytes spare
+@example(CONTRACTED, 3, 257, 16 * 5 + 15)  # 5 samples a chunk, 15 bytes spare
 def test_mc_does_not_depend_on_the_draw_budget(g, seed, samples, budget):
-    # a chunk draws budget // (32 bytes per 4 links) samples, at least one
+    # a chunk holds budget // 16 samples of one packed word (at most 64 links), at
+    # least one, and draws them budget // (128 bytes per 4 links) at a time
     ref = mc_connectivity(g, samples, seed)
-    with patch.object(montecarlo, "_DRAW_BYTES", budget):
+    with patch.object(graph_module, "_SLICE_BYTES", budget):
         est = mc_connectivity(g, samples, seed)
     assert np.array_equal(est.q_hat, ref.q_hat)
     assert np.array_equal(est.std_err, ref.std_err)
+
+
+@_settings(200)
+@given(st.one_of(PROBABILITIES, st.integers(0, 2**53).map(lambda k: k * 2.0**-53)),
+       st.sampled_from([0.0, 1.0, None]), st.integers(0, 2**11 - 1))
+@example(0.0, None, 0)
+@example(1.0, None, 2**11 - 1)
+@example(2.0**-53, 0.0, 5)
+def test_integer_threshold_matches_the_float_test(p, toward, low_bits):
+    # p, or its nextafter neighbour toward 0 or 1, against raw words whose top
+    # 53 bits sit at the threshold and one below it, whatever their low 11 bits
+    if toward is not None:
+        p = float(np.nextafter(p, toward))
+    threshold = int(montecarlo._thresholds(np.array([p]))[0])
+    tops = [k for k in (threshold - 1, threshold) if 0 <= k < 2**53]
+    raw = np.array([k << 11 | low_bits for k in tops], dtype=np.uint64)
+    on = (raw >> np.uint64(11)) < montecarlo._thresholds(np.full(len(raw), p))
+    assert on.tolist() == [k * 2.0**-53 < p for k in tops]
+    assert on.tolist() == ((raw >> np.uint64(11)) * 2.0**-53 < p).tolist()
 
 
 @_settings(60)

@@ -87,6 +87,18 @@ class TestSymEig:
                 assert any(support <= group for group in groups)
 
 
+    def test_ties_across_block_sizes_keep_block_order(self):
+        # blocks {0, 1}, {2} and {3, 4} all have eigenvalue 2.0 exactly; the two
+        # 2-vertex blocks share one eigh stack, which the 1-vertex block sits between
+        pair = np.array([[1.25, 0.75], [0.75, 1.25]])
+        q = np.zeros((5, 5))
+        q[:2, :2], q[2, 2], q[3:, 3:] = pair, 2.0, pair
+        w, v = sym_eig(q)
+        assert w.tolist() == [2.0, 2.0, 2.0, 0.5, 0.5]
+        supports = [np.flatnonzero(v[:, col]).tolist() for col in range(5)]
+        assert supports == [[0, 1], [2], [3, 4], [0, 1], [3, 4]]
+
+
 class TestSpectralReport:
     def test_triangle_values(self):
         q = exact_connectivity(TRIANGLE)

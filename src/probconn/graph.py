@@ -12,7 +12,6 @@ packed sampled states and on the exact engines' table of partitions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -206,10 +205,16 @@ def _merge_rows(lab: np.ndarray, w: np.ndarray) -> int:
     return len(first)
 
 
-def _link_order(n: int, eu: list[int], ev: list[int]) -> list[int]:
+def _link_order(n: int, eu: list[int], ev: list[int]) -> tuple[list[int], list[bool]]:
     """The links (eu[k], ev[k]) in breadth-first order from a vertex of highest degree:
     by the later breadth-first position of their two ends, then the earlier one, ties
-    in index order.  Vertices the search does not reach come last."""
+    in index order.  Vertices the search does not reach come last.
+
+    Returns the order and, along it, whether each link closes a cycle.  Links that
+    share a later end sit together, the first of them the tree link that reaches it,
+    so every other one closes a cycle.  Exact on a connected graph; on another, links
+    among the vertices the search does not reach are all flagged but the first.
+    """
     adj: list[list[int]] = [[] for _ in range(n)]
     for a, b in zip(eu, ev):
         adj[a].append(b)
@@ -224,7 +229,9 @@ def _link_order(n: int, eu: list[int], ev: list[int]) -> list[int]:
                 seen.append(b)
     key = [pos[a] * (n + 1) + pos[b] if pos[a] > pos[b] else pos[b] * (n + 1) + pos[a]
            for a, b in zip(eu, ev)]  # (later position, earlier) as one integer
-    return sorted(range(len(key)), key=key.__getitem__)
+    order = sorted(range(len(key)), key=key.__getitem__)
+    later = [key[k] // (n + 1) for k in order]
+    return order, [k > 0 and later[k] == later[k - 1] for k in range(len(order))]
 
 
 def _prefix_labels(
@@ -232,36 +239,31 @@ def _prefix_labels(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The partitions of all 2^m edge states, as label rows with summed weights, in runs.
 
-    Edge k weighs a state by on[k] or off[k] (scalars, or rows of per-column
-    factors) as it is on or off.  Yields (lab, w, factor) per run: column c of
-    the (n, rows) labels `lab` labels each vertex with the smallest vertex of
-    its component and stands for states of summed weight w[c] * factor.  Edges
-    join one table in order, breadth first (:func:`_link_order`) if it cannot
-    hold all 2^m states: a sure edge, whose off factor is 0 in every column,
-    joins every row in place, and any other doubles the table (every row an
-    off row and an on row) until it would pass _SLICE_BYTES at `state_bytes` a
-    row, or four times the partitions of n vertices.  From then on an edge that
-    closes a cycle keeps the rows in which its ends share a label and splits
-    the others, and a full table merges its equal rows.  The edges that still
-    do not fit are walked depth first, one run per state of theirs in
-    ascending order (in join order), about one merge a run.  Runs share
-    arrays: do not write to them.
+    Edge k weighs a state by on[k, c] or off[k, c] in weight column c as it is
+    on or off; the (m, c) factors sum to 1 in each entry.  Yields (lab, w,
+    factor) per run: column r of the (n, rows) labels `lab` labels each vertex
+    with the smallest vertex of its component and stands for states of summed
+    weights w[r] * factor.  Edges join one table of at most _SLICE_BYTES at
+    `state_bytes` a row.  A sure edge, whose off factor is 0 in every column,
+    joins every row in place; any other doubles the table, every row an off
+    row and an on row.  If the table cannot hold all 2^m states, the edges
+    join breadth first (:func:`_link_order`), an edge that closes a cycle
+    splits only the rows in which its ends are apart, and a full table merges
+    its equal rows.  The edges that still do not fit are walked depth first,
+    one run per state of theirs in ascending order (in join order), about one
+    merge a run.  Runs share arrays: do not write to them.
     """
-    sure = (off == 0).all(axis=tuple(range(1, off.ndim))).tolist()  # off is 0 in every column
+    sure = (off == 0).all(axis=1).tolist()  # off is 0 in every column
     m, cap = len(eu), min(1 << len(eu), max(1, _SLICE_BYTES // state_bytes))  # the table's rows
-    bell = [1]  # Bell triangle: n vertices have at most bell[-1] partitions, so past four
-    while len(bell) < n and bell[-1] <= cap:  # times that many rows most rows are equal
-        bell = list(itertools.accumulate(bell, initial=bell[-1]))
-    cap = min(cap, 4 * bell[-1])
-    eu, ev = eu.tolist(), ev.tolist()
+    eu, ev, closes = eu.tolist(), ev.tolist(), [False] * len(eu)
     if 1 << m > cap:  # cycles that close early let the table merge before it walks links
-        order = _link_order(n, eu, ev)
+        order, closes = _link_order(n, eu, ev)
         eu, ev, sure = ([column[k] for k in order] for column in (eu, ev, sure))
         on, off = on[order], off[order]
     lab = np.empty((n, cap), dtype=np.min_scalar_type(n))
-    w = np.empty((cap,) + np.shape(on)[1:])
+    w = np.empty((cap, on.shape[1]))
     lab[:, 0], w[0], rows = np.arange(n), 1.0, 1
-    t, since, cycle = 0, 0, None  # edges since .. t - 1 joined after the last merge
+    t, since = 0, 0  # edges since .. t - 1 joined after the last merge
     while t < m:
         u, v = eu[t], ev[t]
         if sure[t]:
@@ -269,7 +271,7 @@ def _prefix_labels(
             w[:rows] *= on[t]
             t += 1
             continue
-        if cycle and cycle[t]:  # known once the table first fills
+        if closes[t]:  # a row whose ends share a label stays as it is
             split = np.flatnonzero(lab[u, :rows] != lab[v, :rows])
             src = lab[:, :rows].take(split, axis=1)
         else:
@@ -277,15 +279,7 @@ def _prefix_labels(
         grow = src.shape[1]
         if rows + grow > cap:
             # a merge costs about four runs of one weight column: walk if the rest costs no more
-            if w[0].size << m - t <= 4:
-                break
-            if cycle is None:  # from now on an edge closing a cycle splits only the rows it changes
-                comp, cycle = list(range(n)), []  # quick-find: does edge k close a cycle?
-                for a, b in zip(eu, ev):
-                    cycle.append(comp[a] == comp[b])
-                    comp = [comp[a] if c == comp[b] else c for c in comp]
-                continue
-            if not any(cycle[since:t]):  # no two rows can be equal
+            if w[0].size << m - t <= 4 or not any(closes[since:t]):  # or no two rows can be equal
                 break
             rows, since = _merge_rows(lab[:, :rows], w[:rows]), t
             continue
@@ -294,7 +288,7 @@ def _prefix_labels(
         np.multiply(w[split], on[t], out=w[rows : rows + grow])
         w[split] *= off[t]
         rows, t = rows + grow, t + 1
-    stack = [(m, lab[:, :rows], np.ones(np.shape(on)[1:]))]  # (edges to decide, labels, factor)
+    stack = [(m, lab[:, :rows], np.ones(on.shape[1]))]  # (edges to decide, labels, factor)
     while stack:
         k, run, factor = stack.pop()
         if k > t:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -143,6 +142,8 @@ def ci_halfwidth(est: McEstimate, pair: tuple[int, int], confidence: float) -> H
         raise ValueError(
             f"confidence must be one of {_CONFIDENCE_LEVELS}, got {confidence}"
         )
+    from statistics import NormalDist  # here, so that importing the CLI does not load it
+
     z = NormalDist().inv_cdf((1.0 + confidence) / 2.0)
     normal = z * float(est.std_err[i, j])
     hoeffding = math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * est.samples))

@@ -16,6 +16,9 @@ to a ranking by two enumerations per candidate link, whose derivatives
 take the tied eigenvectors of one dense `np.linalg.eigh` of the whole
 matrix, and a loop unpacks the forced pass's groups into one pair of
 dense matrices per vertex pair, for the tests that hold them to these.
+Whether a link closes a cycle in a join order comes from quick-find over a
+list of component names, where the package reads it off the breadth-first
+order it sorts links into.
 """
 
 from __future__ import annotations
@@ -150,6 +153,16 @@ def pair_indicators(n, active_edges) -> list[int]:
         adj[j].append(i)
     labels = _bfs_labels(n, adj)
     return [int(labels[i] == labels[j]) for i in range(n) for j in range(i + 1, n)]
+
+
+def closes_cycle(n, pairs) -> list[bool]:
+    """Whether each link (a, b) of `pairs`, joined in that order, closes a cycle:
+    the links before it already join its ends.  Quick-find over component names."""
+    comp, closes = list(range(n)), []
+    for a, b in pairs:
+        closes.append(comp[a] == comp[b])
+        comp = [comp[a] if c == comp[b] else c for c in comp]
+    return closes
 
 
 def components_and_cut_vertices(n, pairs):

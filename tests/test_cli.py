@@ -344,6 +344,17 @@ class TestRunCommand:
         assert proc.wait(timeout=60) == 1
         assert "Traceback" not in err
 
+    def test_importing_the_cli_leaves_statistics_unloaded(self):
+        # the CLI never calls ci_halfwidth, and importing statistics loads fractions and decimal
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, probconn.cli; print('statistics' in sys.modules)"],
+            capture_output=True, env=env, timeout=60, check=True, text=True,
+        )
+        assert done.stdout == "False\n"
+
     def test_same_bytes_for_any_blas_thread_count(self, tmp_path):
         # 2^20 and 2^22 states: the exact engine sums each run of states with one gemv
         pairs = [(i, j) for i in range(10) for j in range(i + 1, 10)]

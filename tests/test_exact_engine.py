@@ -102,8 +102,8 @@ class TestStateWeights:
                     adj[v].append(u)
             expected.setdefault(tuple(bfs_labels(g.n, adj)), []).append(state_probability(g, bits))
         got: dict[tuple[int, ...], list[float]] = {}
-        for lab, w, factor in graph_module._prefix_labels(g.n, eu, ev, p, 1 - p, 1):
-            for column, weight in zip(lab.T.tolist(), w * factor):
+        for lab, w, factor in graph_module._prefix_labels(g.n, eu, ev, p[:, None], 1 - p[:, None], 1):
+            for column, weight in zip(lab.T.tolist(), w[:, 0] * factor[0]):
                 got.setdefault(tuple(column), []).append(weight)
         for labels in got.keys() | expected.keys():
             assert math.fsum(got.get(labels, ())) == pytest.approx(
@@ -186,6 +186,11 @@ M20, M22 = (
                      for k, (i, j) in enumerate(itertools.combinations(range(10), 2)) if k < m])
     for m in (20, 22)
 )
+# every pair of 6 (7) vertices linked: 2^15 (2^21) states of 203 (877) partitions
+K6, K7 = (
+    build_graph(n, [(i, j, 0.3 + 0.03 * k) for k, (i, j) in enumerate(itertools.combinations(range(n), 2))])
+    for n in (6, 7)
+)
 
 
 class TestStreamedEnumeration:
@@ -198,6 +203,12 @@ class TestStreamedEnumeration:
         assert _traced_peak(lambda: rank_improvements(M20)) < 2 << 20
         # 25 absent candidates, each merged on a copy of one run's labels at a time
         assert _traced_peak(lambda: rank_improvements(M20, include_absent=True)) < 2 << 20
+
+    @pytest.mark.parametrize("g", [K6, K7], ids=["K6", "K7"])
+    def test_complete_graph_tables_fill_at_most_the_slice(self, g):
+        # the slice is the table's only cap, however few partitions its vertices have
+        assert _traced_peak(lambda: exact_connectivity(g)) < 2 << 20
+        assert _traced_peak(lambda: rank_improvements(g, include_absent=True)) < 2 << 20
 
     def test_absent_candidates_do_not_shorten_the_runs(self, monkeypatch):
         sizes = []
@@ -282,17 +293,17 @@ class TestPartitionTable:
         return runs
 
     def test_dense_block_merges_rows_and_walks_the_rest(self, monkeypatch):
-        # at 1/32 of the slice M20's table fills twice, is merged each time, and the
-        # links that still do not fit are walked; the default slice walks fewer
+        # at 1/32 of the slice M20's table fills once, is merged, and the links that
+        # still do not fit are walked; the default slice merges twice and walks fewer
         widths, runs = self._spy_merges(monkeypatch), self._spy_runs(monkeypatch)
         with monkeypatch.context() as patched:
             patched.setattr(graph_module, "_SLICE_BYTES", graph_module._SLICE_BYTES >> 5)
             walked = exact_connectivity(M20)
-        assert widths == [10, 10] and len(runs) == 1 << 13
+        assert widths == [10] and len(runs) == 1 << 13
         widths.clear()
         runs.clear()
         np.testing.assert_allclose(exact_connectivity(M20), walked, rtol=0, atol=1e-14)
-        assert widths == [10, 10] and 1 < len(runs) < 1 << 13
+        assert widths == [10, 10] and len(runs) == 32
 
     def test_links_join_breadth_first(self, monkeypatch):
         # in canonical order vertex 0's star filled the table before any cycle closed,
@@ -336,7 +347,8 @@ class TestPartitionTable:
         # the path 3 - 0 - 1 - 2 with the chord (1, 3), and the link (4, 5): the search
         # starts at vertex 1 and finds 0, 2 and 3, so 1's star joins first, (0, 3) closes
         # the cycle, and the link of vertices it does not reach joins last
-        assert graph_module._link_order(6, [0, 0, 1, 1, 4], [1, 3, 2, 3, 5]) == [0, 2, 3, 1, 4]
+        assert graph_module._link_order(6, [0, 0, 1, 1, 4], [1, 3, 2, 3, 5]) == (
+            [0, 2, 3, 1, 4], [False, False, False, True, False])
 
 
 class TestExactInvariants:

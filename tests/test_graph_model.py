@@ -224,7 +224,7 @@ def _joined_order(n, eu, ev, runs):
     holds all 2^m states, else breadth first, as a table too small for them takes them."""
     if len(runs) == 1 and runs[0][0].shape[1] == 1 << len(eu):
         return np.arange(len(eu))
-    return np.array(graph_module._link_order(n, eu.tolist(), ev.tolist()), dtype=int)
+    return np.array(graph_module._link_order(n, eu.tolist(), ev.tolist())[0], dtype=int)
 
 
 class TestPrefixLabels:
@@ -239,7 +239,7 @@ class TestPrefixLabels:
             g = random_graph(rng, n_lo=1, n_hi=7, m_hi=9)
             eu, ev = np.array([(i, j) for i, j, _ in g.edges], dtype=int).reshape(g.m, 2).T
             p = rng.uniform(0.1, 0.9, g.m)
-            runs = list(graph_module._prefix_labels(g.n, eu, ev, p, 1 - p, 3))
+            runs = list(graph_module._prefix_labels(g.n, eu, ev, p[:, None], 1 - p[:, None], 3))
             order = _joined_order(g.n, eu, ev, runs)  # from here on links count in join order
             eu, ev, p = eu[order], ev[order], p[order]
             low = g.m - (len(runs).bit_length() - 1)  # the table's links
@@ -247,7 +247,7 @@ class TestPrefixLabels:
             for r, (lab, w, factor) in enumerate(runs):
                 assert lab.shape[1] == len(w) <= max(1, 1 << t)
                 high = [(r >> k - low) & 1 for k in range(low, g.m)]
-                assert factor == pytest.approx(np.prod(np.where(high, p[low:], 1 - p[low:])), rel=1e-14)
+                assert factor[0] == pytest.approx(np.prod(np.where(high, p[low:], 1 - p[low:])), rel=1e-14)
                 masks = (r << low) + np.arange(1 << low)
                 ((_, labels),) = graph_module._state_labels(g.n, eu, ev, masks[:, None], 1)
                 assert lab.dtype == labels.dtype
@@ -255,19 +255,20 @@ class TestPrefixLabels:
                 bits = (masks[:, None] >> np.arange(g.m)) & 1
                 expected = [pair_indicators(g.n, zip(eu[on == 1], ev[on == 1])) for on in bits]
                 pair_i, pair_j = graph_module._upper_pairs(g.n)
-                np.testing.assert_allclose(((lab[pair_i] == lab[pair_j]) @ w) * factor,
+                np.testing.assert_allclose(((lab[pair_i] == lab[pair_j]) @ w[:, 0]) * factor[0],
                                            np.prod(np.where(bits, p, 1 - p), axis=1) @ np.reshape(expected, (len(masks), -1)),
                                            rtol=0, atol=1e-15)
 
     def test_one_state_per_run_when_a_state_outgrows_the_slice(self):
         eu, ev, p = np.array([0, 1, 0]), np.array([1, 2, 2]), np.array([0.3, 0.6, 0.8])
-        runs = list(graph_module._prefix_labels(3, eu, ev, p, 1 - p, graph_module._SLICE_BYTES + 1))
+        on = p[:, None]
+        runs = list(graph_module._prefix_labels(3, eu, ev, on, 1 - on, graph_module._SLICE_BYTES + 1))
         assert [lab.shape for lab, _, _ in runs] == [(3, 1)] * 8
         p = p[_joined_order(3, eu, ev, runs)]  # (0, 1), (0, 2), then (1, 2) closes the cycle
         for s, (_, w, factor) in enumerate(runs):  # ascending masks, one state's weight each
             bits = [(s >> k) & 1 for k in range(3)]
-            assert w.tolist() == [1.0]
-            assert factor == pytest.approx(np.prod(np.where(bits, p, 1 - p)), rel=1e-15)
+            assert w.tolist() == [[1.0]]
+            assert factor[0] == pytest.approx(np.prod(np.where(bits, p, 1 - p)), rel=1e-15)
 
 
 class TestArticulationPoints:

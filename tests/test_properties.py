@@ -34,6 +34,7 @@ from probconn import montecarlo
 from probconn.exact import _forced_link_slices
 from probconn.graph import _pattern_blocks, _search
 from oracles import (
+    closes_cycle,
     components_and_cut_vertices,
     connectivity_by_enumeration,
     pair_indicators,
@@ -288,6 +289,41 @@ def test_search_matches_bfs_oracle(g):
     rows, cols = np.nonzero(np.triu(linked, 1))
     assert _search(g.n, zip(rows.tolist(), cols.tolist())) == (components, cuts)
     assert _pattern_blocks(linked) == components
+
+
+@st.composite
+def connected_links(draw, max_n=10, max_extra=12):
+    """(n, links) of a connected graph: a random tree and other pairs, vertices and links shuffled."""
+    n = draw(st.integers(1, max_n))
+    name = draw(st.permutations(range(n)))
+    tree = {tuple(sorted((name[draw(st.integers(0, v - 1))], name[v]))) for v in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=max_extra, unique=True)) if pairs else []
+    return n, draw(st.permutations([*tree, *extra]))
+
+
+def _flags_and_oracle(n, pairs):
+    """_link_order's cycle flags and the oracle's, both along its order."""
+    eu, ev = [a for a, _ in pairs], [b for _, b in pairs]
+    order, closes = graph_module._link_order(n, eu, ev)
+    assert sorted(order) == list(range(len(pairs)))
+    return closes, closes_cycle(n, [pairs[k] for k in order])
+
+
+# two triangles: the search from vertex 0 does not reach 3, 4 and 5, so the tree
+# link (3, 5) of their triangle is flagged as well
+TWO_TRIANGLES = build_graph(6, [(a, b, 0.5) for a, b in [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]])
+
+
+@_settings(200)
+@given(connected_links(), graphs(max_n=12, max_m=20))
+@example((3, [(0, 1), (1, 2), (0, 2)]), TWO_TRIANGLES)
+def test_link_order_flags_the_links_that_close_cycles(connected, g):
+    # exact on a connected graph; on any graph every link that closes a cycle is flagged
+    closes, marked = _flags_and_oracle(*connected)
+    assert closes == marked
+    closes, marked = _flags_and_oracle(g.n, [(i, j) for i, j, _ in g.edges])
+    assert all(flag for flag, mark in zip(closes, marked) if mark)
 
 
 @st.composite

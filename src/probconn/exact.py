@@ -18,9 +18,9 @@ runs independently inside each support component; entries across components
 are exactly zero by construction.
 
 There is one pass, :func:`_forced_link_slices`: it yields each component's
-block and, grouped by the block they change, the pair values of every link
-it is asked about with that link forced off and on.  Asked about no link it
-is :func:`exact_connectivity`; link ranking asks about every link.
+block and, grouped by the block they change, that block as a symmetric
+matrix with every link it is asked about forced off and on.  Asked about no
+link it is :func:`exact_connectivity`; link ranking asks about every link.
 
 This is deliberately the brute-force definition: it serves as the trusted
 reference the sampling engine and all analyses are checked against.  Cost
@@ -34,14 +34,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graph import (
-    ProbGraph,
-    _merge,
-    _pair_matrix,
-    _prefix_labels,
-    _upper_pairs,
-    support_components,
-)
+from .graph import ProbGraph, _merge, _prefix_labels, _upper_pairs, support_components
 
 __all__ = [
     "DEFAULT_MAX_EDGES",
@@ -148,14 +141,14 @@ def _forced_block_sums(
     forced: list[int],
     extra: list[tuple[int, int]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pair sums of one component, also with some links forced off and on, from one enumeration.
+    """Block of one component, also with some links forced off and on, from one enumeration.
 
     `edges` are the component's m links with p > 0 as (u, v, p), `forced`
     indexes f of them and `extra` lists vertex pairs (a, b) that hold no
-    such link.  Returns (own, q0, q1), pair values in np.triu_indices(nverts, 1)
-    order: own holds the component's pair sums, row r of q0 and q1 the sums
-    with link forced[r] forced off and on, or for r >= f without and with a
-    sure link on extra[r - f].
+    such link.  Returns (own, q0, q1), symmetric blocks with a unit diagonal:
+    own (nverts, nverts) is the component's, q0[r] and q1[r] (of K = f +
+    len(extra)) are it with link forced[r] forced off and on, or for r >= f
+    without and with a sure link on extra[r - f].
 
     Forcing link e on (off) weighs state s by [e is on (off) in s] times the
     leave-one-out product prod_{l != e} f_l(s), where f_l(s) is p_l when
@@ -164,7 +157,8 @@ def _forced_block_sums(
     any other, else it joins every row in place.  Each of the 2f + 1 columns
     (link forced[r] forced on, forced off, the last as drawn) is one weight
     column of the table of :func:`probconn.graph._prefix_labels`: a run is a
-    gemv a column.  A sure link on (a, b) is a's and b's labels merged in a
+    gemv a column, over the pairs of np.triu_indices(nverts, 1), whose sums go
+    to both triangles.  A sure link on (a, b) is a's and b's labels merged in a
     copy of each run's, weighed like the own column, or the run's own sums
     when a and b share a label in every row.
     """
@@ -188,29 +182,35 @@ def _forced_block_sums(
                 merged = lab.copy()  # runs share their labels
                 _merge(merged, a, b)
                 joined[r] += ((merged[pair_i] == merged[pair_j]) @ w[:, -1]) * factor[-1]
-    sums, joined = np.minimum(sums, 1.0), np.minimum(joined, 1.0)  # sums can overshoot 1 by an ulp
-    q0 = sums[[*range(f, 2 * f), *[2 * f] * len(extra)]]  # an absent pair's off value is the own
-    return sums[-1], q0, np.concatenate((sums[:f], joined))
+    values = np.minimum(np.concatenate((sums, joined)), 1.0)  # sums can overshoot 1 by an ulp
+    out = np.empty((len(values), nverts, nverts))  # the 2f + 1 columns' blocks, then joined's
+    out[:, pair_i, pair_j] = out[:, pair_j, pair_i] = values
+    out.reshape(len(values), -1)[:, :: nverts + 1] = 1.0
+    q0 = out[[*range(f, 2 * f), *[2 * f] * len(extra)]]  # an absent pair's off value is the own
+    return out[2 * f], q0, out[[*range(f), *range(2 * f + 1, len(out))]]
 
 
 def _forced_link_slices(
     g: ProbGraph, pairs: Sequence[tuple[int, int]], max_edges: int = DEFAULT_MAX_EDGES
-) -> tuple[np.ndarray, Iterator[tuple[list[int], list[int], np.ndarray, np.ndarray]]]:
-    """Q of `g`, and its blocks with the link on each vertex pair forced off and on.
+) -> tuple[
+    np.ndarray, list[list[int]], Iterator[tuple[list[int], list[int], np.ndarray, np.ndarray]]
+]:
+    """Q of `g`, its support components, and its blocks with the link on each
+    vertex pair forced off and on.
 
     `pairs` lists vertex pairs (i, j), i < j.  Returns Q, which is
     exact_connectivity(g, max_edges) when `pairs` holds no link of `g` with
-    p > 0 and equal to it up to rounding otherwise, raising alike, and an
-    iterator of (verts, rows, q0, q1) per block that pairs change, smallest
-    first: pairs[r] for r in `rows` (ascending) changes only the block on
-    `verts`, i's support component followed by j's if that is another one,
-    and row k of q0 and q1 holds the block's pair values (_upper_pairs
-    order) with the link on pairs[rows[k]] at probability 0 and 1, whether
-    `g` holds it or not.  Each component is enumerated once for Q and all
-    its pairs (see :func:`_forced_block_sums`); candidate links do not count
+    p > 0 and equal to it up to rounding otherwise, raising alike, the support
+    components, and an iterator of (verts, rows, q0, q1) per block that pairs
+    change, smallest first: pairs[r] for r in `rows` (ascending) changes only
+    the block on `verts`, i's support component followed by j's if that is
+    another one, and q0[k] and q1[k] are that block, symmetric with a unit
+    diagonal, with the link on pairs[rows[k]] at probability 0 and 1, whether
+    `g` holds it or not.  Each component is enumerated once for Q and all its
+    pairs (see :func:`_forced_block_sums`); candidate links do not count
     toward `max_edges`.  A link joining i's component A to j's B sets
     q1[u, v] = q[u, i] * q[j, v] for u in A and v in B, since the two sides
-    are independent.
+    are independent; its q0 is one read-only block broadcast over the rows.
     """
     blocks, position, links, index = _support_links(g, max_edges)
     groups: dict[tuple[int, int], list[int]] = {}  # (i's component, j's): rows of pairs
@@ -228,16 +228,15 @@ def _forced_link_slices(
             else:
                 extra[b].append((li, lj))
     sums = [
-        _forced_block_sums(len(verts), edges, asked, absent) if edges else None
+        _forced_block_sums(len(verts), edges, asked, absent) if edges else (np.ones((1, 1)),)
         for verts, edges, asked, absent in zip(blocks, links, forced, extra)
     ]
-    own = [_pair_matrix(len(verts), s[0] if s else ()) for verts, s in zip(blocks, sums)]
     if len(blocks) == 1:  # one component: its block is Q
-        q = own[0]
+        q = sums[0][0]
     else:
         q = np.zeros((g.n, g.n))
-        for verts, block in zip(blocks, own):
-            q[np.ix_(verts, verts)] = block
+        for verts, block in zip(blocks, sums):
+            q[np.ix_(verts, verts)] = block[0]
 
     def grouped() -> Iterator[tuple[list[int], list[int], np.ndarray, np.ndarray]]:
         for b, c in sorted(groups, key=lambda bc: sum(len(blocks[k]) for k in set(bc))):
@@ -247,12 +246,13 @@ def _forced_link_slices(
                 yield blocks[b], rows, sums[b][1][forced], sums[b][2][forced]
                 continue
             verts, split = blocks[b] + blocks[c], len(blocks[b])
-            upper = _upper_pairs(len(verts))
             li, lj = ([position[pairs[r][end]][1] for r in rows] for end in (0, 1))
-            q1 = np.zeros((len(rows), len(verts), len(verts)))
-            q1[:, :split, :split], q1[:, split:, split:] = own[b], own[c]
-            q0 = np.broadcast_to(q1[0][upper], (len(rows), len(upper[0])))
-            q1[:, :split, split:] = own[b][:, li].T[:, :, None] * own[c][lj][:, None, :]
-            yield verts, rows, q0, q1[:, upper[0], upper[1]]
+            apart = np.zeros((len(verts), len(verts)))
+            apart[:split, :split], apart[split:, split:] = sums[b][0], sums[c][0]
+            q0 = np.broadcast_to(apart, (len(rows), *apart.shape))
+            q1 = q0.copy()
+            q1[:, :split, split:] = sums[b][0][:, li].T[:, :, None] * sums[c][0][lj][:, None, :]
+            q1[:, split:, :split] = q1[:, :split, split:].transpose(0, 2, 1)
+            yield verts, rows, q0, q1
 
-    return q, grouped()
+    return q, blocks, grouped()

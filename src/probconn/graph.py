@@ -251,7 +251,9 @@ def _prefix_labels(
     splits only the rows in which its ends are apart, and a full table merges
     its equal rows.  The edges that still do not fit are walked depth first,
     one run per state of theirs in ascending order (in join order), about one
-    merge a run.  Runs share arrays: do not write to them.
+    merge a run; an off branch that weighs 0 in every column is not walked, so
+    of the sure edges forced off in their own columns at most one is off in a
+    run.  Runs share arrays: do not write to them.
     """
     sure = (off == 0).all(axis=1).tolist()  # off is 0 in every column
     m, cap = len(eu), min(1 << len(eu), max(1, _SLICE_BYTES // state_bytes))  # the table's rows
@@ -295,8 +297,9 @@ def _prefix_labels(
             joined = run.copy()
             _merge(joined, eu[k - 1], ev[k - 1])
             stack.append((k - 1, joined, factor * on[k - 1]))
-            if not sure[k - 1]:
-                stack.append((k - 1, run, factor * off[k - 1]))
+            off_factor = factor * off[k - 1]
+            if off_factor.any():  # states that weigh 0 in every column add nothing
+                stack.append((k - 1, run, off_factor))
         else:
             yield run, w[:rows], factor
 

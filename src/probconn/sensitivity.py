@@ -10,7 +10,9 @@ Womersley, Math. Programming 62, 1993): x' slope x when it is simple.
 Ranking links by the eigenvalue gain realized at t = 1 answers "which link
 upgrade buys the most quality".  Q and each link's q0 and q1 on the block it
 changes (its endpoints' support components) come from one enumeration per
-component, and the links that change one block are solved together.
+component, as square blocks.  The links that change one block are solved
+together: their X' slope X (1 x 1 when lambda_max is simple) and their q1
+blocks go, each kind in one pass, to LAPACK in stacks of one size.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import graph
-# perfbench/tracing.py patches exact_connectivity, add_edge and with_edge_probability by name
+# kept for perfbench/tracing.py, which patches exact_connectivity, add_edge,
+# with_edge_probability and sym_eig here by name
 from .exact import DEFAULT_MAX_EDGES, _forced_link_slices, exact_connectivity  # noqa: F401
-from .graph import ProbGraph, add_edge, support_components, with_edge_probability  # noqa: F401
+from .graph import ProbGraph, add_edge, with_edge_probability  # noqa: F401
 from .spectral import sym_eig
 
 __all__ = [
@@ -85,11 +88,11 @@ def affine_slice(g: ProbGraph, edge: int, max_edges: int = DEFAULT_MAX_EDGES) ->
     raises GraphValidationError for an edge index outside [0, m)."""
     if not 0 <= edge < g.m:
         raise graph.GraphValidationError(f"edge index {edge} outside [0, {g.m})")
-    q, groups = _forced_link_slices(g, [g.edges[edge][:2]], max_edges)
+    q, _, groups = _forced_link_slices(g, [g.edges[edge][:2]], max_edges)
     verts, _, *ends = next(groups)
     q0, q1 = q.copy(), q.copy()
-    for out, values in zip((q0, q1), ends):
-        out[np.ix_(verts, verts)] = graph._pair_matrix(len(verts), values[0])
+    for out, block in zip((q0, q1), ends):
+        out[np.ix_(verts, verts)] = block[0]
     return AffineSlice(edge=edge, q0=q0, q1=q1, slope=q1 - q0)
 
 
@@ -101,23 +104,15 @@ def _top_cluster(q: np.ndarray) -> tuple[float, np.ndarray, str]:
 
 
 def _derivatives(cluster: np.ndarray, verts: list[int], slopes: np.ndarray) -> np.ndarray:
-    """d lambda_max / dt from above of Q with its block on `verts` moved along each row
-    of `slopes` (pair values in _upper_pairs order): the top eigenvalue of X' S X, with X
-    the columns of `cluster` that touch the block, on its vertices."""
-    x = cluster[verts].T
-    keep = x.any(axis=1)
+    """The (K, c, c) stack X' S X for Q with its block on `verts` moved along each of the
+    (K, b, b) `slopes` S, whose top eigenvalues are d lambda_max / dt from above: X holds
+    the columns of `cluster` that touch the block, on its vertices, and one zero column
+    for those that do not (c = 1 for a simple lambda_max: x' S x)."""
+    x = cluster[verts]
+    keep = x.any(axis=0)
     keep[keep.argmin()] = True  # one zero vector stands for those off the block
-    pair_i, pair_j = graph._upper_pairs(len(verts))
-    xi, xj = x[keep][:, pair_i], x[keep][:, pair_j]
-    # one matrix-vector product per form, each pair counted twice: a gemm's sums vary
-    # with the BLAS thread count
-    forms = [(a, b, xi[a] * xj[b] + xj[a] * xi[b]) for a in range(len(xi)) for b in range(a + 1)]
-    if len(forms) == 1:  # x' S x
-        return slopes @ forms[0][2]
-    xsx = np.zeros((len(slopes), len(xi), len(xi)))
-    for a, b, form in forms:
-        xsx[:, a, b] = slopes @ form  # the lower triangle, all that eigvalsh reads
-    return np.fromiter(_top_eigenvalues([xsx]), float, len(slopes))
+    x = x[:, keep]
+    return x.T @ (slopes @ x)  # small stacked products: no BLAS threads, the same sums
 
 
 def _top_eigenvalues(stacks: Iterable[np.ndarray]) -> Iterator[float]:
@@ -141,12 +136,15 @@ def lambda_derivative(
     """Rate at which the largest eigenvalue rises with one link probability:
     the principal eigenvector's quadratic form x' slope x when the top eigenvalue
     is simple (gap above 1e-8, method "rayleigh"), else the top eigenvalue of
-    X' slope X over its tied eigenvectors X ("eigenspace")."""
-    slc = affine_slice(g, edge, max_edges)
-    _, cluster, method = _top_cluster(slc.at(g.edges[edge][2]))  # Q, by the affine identity
-    verts = np.flatnonzero(slc.slope.any(axis=0))  # X' S X needs X only where S is not 0
-    slope = slc.slope[np.ix_(verts, verts)][graph._upper_pairs(len(verts))]
-    return EdgeDerivative(edge, float(_derivatives(cluster, verts, slope[None])[0]), method)
+    X' slope X over its tied eigenvectors X ("eigenspace"); raises GraphValidationError
+    for an edge index outside [0, m)."""
+    if not 0 <= edge < g.m:
+        raise graph.GraphValidationError(f"edge index {edge} outside [0, {g.m})")
+    q, _, groups = _forced_link_slices(g, [g.edges[edge][:2]], max_edges)
+    verts, _, q0, q1 = next(groups)
+    _, cluster, method = _top_cluster(q)
+    (value,) = _top_eigenvalues([_derivatives(cluster, verts, q1 - q0)])
+    return EdgeDerivative(edge, value, method)
 
 
 def rank_improvements(
@@ -168,27 +166,25 @@ def rank_improvements(
         pairs = itertools.combinations(range(g.n), 2)
         candidates += [(None, i, j, 0.0) for i, j in pairs if (i, j) not in present]
 
-    comps = support_components(g)
-    q_now, groups = _forced_link_slices(g, [(i, j) for _, i, j, _ in candidates], max_edges)
+    q_now, comps, groups = _forced_link_slices(g, [(i, j) for _, i, j, _ in candidates], max_edges)
     lambda_max, cluster, method = _top_cluster(q_now)
     top = list(_top_eigenvalues(q_now[np.ix_(verts, verts)][None] for verts in comps))
     by_top = sorted(range(len(comps)), key=lambda c: -top[c])
-    dlambda, rest, order = np.empty(len(candidates)), np.empty(len(candidates)), []
+    rest, order, xsx = np.empty(len(candidates)), [], []
 
     def group_stacks() -> Iterator[np.ndarray]:
         for verts, rows, q0, q1 in groups:
-            dlambda[rows] = _derivatives(cluster, verts, q1 - q0)
+            xsx.append(_derivatives(cluster, verts, q1 - q0))
             # q1's lambda_max also counts the components left alone; taking the gain
             # against the same routine's lambda_max makes an unchanged one exactly 0
             rest[rows] = next((top[c] for c in by_top if comps[c][0] not in verts), 0.0)
             order.extend(rows)
-            stack = np.broadcast_to(np.eye(len(verts)), (len(rows),) + (len(verts),) * 2).copy()
-            pair_i, pair_j = graph._upper_pairs(len(verts))
-            stack[:, pair_j, pair_i] = q1  # the lower triangle, all that eigvalsh reads
-            yield stack
+            yield q1
 
     tops = np.fromiter(_top_eigenvalues(group_stacks()), float, len(candidates))  # in `order`
-    gains = np.maximum(tops[np.argsort(order)], rest) - top[by_top[0]]
+    back = np.argsort(order)
+    dlambda = np.fromiter(_top_eigenvalues(xsx), float, len(candidates))[back]
+    gains = np.maximum(tops[back], rest) - top[by_top[0]]
     entries = [
         RankedEdge(edge_index, i, j, p, value, method, 1.0 - p, gain)
         for (edge_index, i, j, p), value, gain in zip(candidates, dlambda.tolist(), gains.tolist())

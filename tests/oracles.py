@@ -296,29 +296,25 @@ def rank_per_candidate(g, include_absent=False):
 
 
 def slices_by_pair(pairs, groups):
-    """The groups (verts, rows, q0, q1) of `exact._forced_link_slices(g, pairs)` as one
+    """The groups (verts, rows, q0, q1) of `exact._forced_link_slices(g, pairs)[2]` as one
     (verts, q0, q1) per pair, in pair order, with q0 and q1 dense symmetric matrices.
 
     Checks the layout on the way: blocks come smallest first, each pair lies in
     its group's block and in exactly one group, rows ascend, and q0 and q1 hold
-    one row of values per pair of the block's vertices, row-major over i < j.
+    one block per row, symmetric with a unit diagonal.
     """
     out = [None] * len(pairs)
     size = 0
     for verts, rows, q0, q1 in groups:
         b = len(verts)
         assert b >= size and list(rows) == sorted(set(rows))
-        assert q0.shape == q1.shape == (len(rows), b * (b - 1) // 2)
+        assert q0.shape == q1.shape == (len(rows), b, b)
         size = b
         for r, before, after in zip(rows, q0, q1):
             assert out[r] is None and set(pairs[r]) <= set(verts)
-            dense = []
-            for values in (before, after):
-                matrix = np.eye(b)
-                for value, (i, j) in zip(values, itertools.combinations(range(b), 2)):
-                    matrix[i, j] = matrix[j, i] = value
-                dense.append(matrix)
-            out[r] = (verts, *dense)
+            for block in (before, after):
+                assert (block == block.T).all() and (np.diag(block) == 1.0).all()
+            out[r] = (verts, np.array(before), np.array(after))
     assert all(entry is not None for entry in out)
     return out
 

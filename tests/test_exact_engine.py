@@ -267,7 +267,7 @@ class TestPartitionTable:
         widths = self._spy_merges(monkeypatch)
         path, chord = CHORD_PATH
         pairs = [(0, 1), (0, 2), (5, 6)]
-        q, groups = _forced_link_slices(CHORDED, pairs)
+        q, _, groups = _forced_link_slices(CHORDED, pairs)
         assert widths and set(widths) == {17}
         np.testing.assert_allclose(q, chord_path_connectivity(path, chord), rtol=0, atol=1e-14)
         for (i, j), (verts, q0, q1) in zip(pairs, slices_by_pair(pairs, groups)):
@@ -327,6 +327,30 @@ class TestPartitionTable:
         np.testing.assert_allclose(q, expected, rtol=0, atol=1e-15)
         assert len(runs) == 1 and runs[0] <= 8
         assert _traced_peak(lambda: exact_connectivity(TWO_CHAINS, max_edges=32)) < 1 << 20
+
+    def test_forced_sure_links_are_walked_off_one_at_a_time(self, monkeypatch):
+        # rank forces each sure link off in its own weight column only, so a run with two
+        # of them off weighs 0 in every column and is not walked (about 2^32 states if it were)
+        runs = []
+        prefix_labels = graph_module._prefix_labels
+
+        def capped(*args):
+            for run in prefix_labels(*args):
+                runs.append(run[0].shape[1])
+                assert len(runs) <= 128, "the walk visits states that weigh 0"
+                yield run
+
+        monkeypatch.setattr(exact_module, "_prefix_labels", capped)
+        rank_improvements(TWO_CHAINS, max_edges=32)
+        runs.clear()
+        pairs = [(i, j) for i, j, _ in TWO_CHAINS.edges]
+        slices = slices_by_pair(pairs, _forced_link_slices(TWO_CHAINS, pairs, max_edges=32)[2])
+        monkeypatch.undo()
+        for edge, (verts, q0, q1) in enumerate(slices):
+            for forced, t in [(q0, 0.0), (q1, 1.0)]:
+                edited = with_edge_probability(TWO_CHAINS, edge, t)
+                expected = exact_connectivity(edited, max_edges=32)[np.ix_(verts, verts)]
+                np.testing.assert_allclose(forced, expected, rtol=0, atol=1e-12)
 
     def test_one_weight_column_per_question(self, monkeypatch):
         # Q alone carries one column; each link asked about adds its forced-on and forced-off one

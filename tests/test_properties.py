@@ -162,7 +162,7 @@ def _check_forced_link_slices(g, mask):
     # one, may change.  A sure link that is not asked about joins every row in place
     every = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
     pairs = [pair for pair, asked in zip(every, mask) if asked]
-    forced_q, groups = _forced_link_slices(g, pairs)
+    forced_q, _, groups = _forced_link_slices(g, pairs)
     q = connectivity_by_enumeration(g.n, g.edges)
     np.testing.assert_allclose(forced_q, q, rtol=0, atol=1e-12)
     comps = components_and_cut_vertices(g.n, [(i, j) for i, j, p in g.edges if p > 0.0])[0]
@@ -196,7 +196,7 @@ def test_results_do_not_depend_on_the_slice_size(g, seed):
     runs = []
     for size in [1, 200, 4096, graph_module._SLICE_BYTES]:
         with patch.object(graph_module, "_SLICE_BYTES", size):
-            forced_q, groups = _forced_link_slices(g, pairs)
+            forced_q, _, groups = _forced_link_slices(g, pairs)
             est = mc_connectivity(g, 300, seed)
             runs.append((exact_connectivity(g), forced_q, slices_by_pair(pairs, groups), est))
     ref = connectivity_by_enumeration(g.n, g.edges)

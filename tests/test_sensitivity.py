@@ -279,7 +279,7 @@ class TestOnePassRanking:
         for slice_bytes in [graph_module._SLICE_BYTES, 200]:
             monkeypatch.setattr(graph_module, "_SLICE_BYTES", slice_bytes)
             runs.append([
-                slices_by_pair(pairs, _forced_link_slices(g, pairs)[1])
+                slices_by_pair(pairs, _forced_link_slices(g, pairs)[2])
                 for g in graphs
                 for pairs in [list(itertools.combinations(range(g.n), 2))]
             ])
@@ -334,8 +334,26 @@ class TestStackedEigenvalues:
         ranking = rank_improvements(g, include_absent=True)
         assert len(eig_calls) == 1  # Q itself; every derivative here is a Rayleigh quotient
         assert {e.derivative_method for e in ranking.entries} == {"rayleigh"}
-        assert [shape[1] for shape in stacks] == [1, 2, 3, 4] + [2, 3, 4, 5, 6, 7]
-        assert sum(shape[0] for shape in stacks[4:]) == len(ranking.entries) == 45
+        # the components' tops, the candidates' and one stack of every 1 x 1 x' S x
+        assert [shape[1] for shape in stacks] == [1, 2, 3, 4] + [2, 3, 4, 5, 6, 7] + [1]
+        assert sum(shape[0] for shape in stacks[4:-1]) == len(ranking.entries) == 45
+        assert stacks[-1] == (45, 1, 1)
+
+    def test_tied_derivatives_over_many_blocks_share_their_stacks(self, monkeypatch):
+        # 100 isolated vertices: lambda_max 1 is tied 100 times and each of the 4950
+        # candidates joins two of them, its X' S X the 2 x 2 [[0, 1], [1, 0]]
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        ranking = rank_improvements(build_graph(100, []), include_absent=True)
+        assert len(ranking.entries) == 4950
+        assert {(e.dlambda, e.derivative_method) for e in ranking.entries} == {(1.0, "eigenspace")}
+        assert len(calls) <= 5
 
     def test_memory_stays_bounded(self):
         tracemalloc.start()

@@ -7,25 +7,26 @@ path-probability matrix is the state-probability-weighted sum of the
 per-state connectivity indicators, so states of one partition are summed
 before any indicator is formed.
 
-Links with p = 0 are left out.  :func:`probconn.graph._prefix_labels` adds
-the links to a table of label rows and summed weights (breadth first if it
-cannot hold every state, so cycles close early), merges equal rows when it
-fills its slice, and walks the links left depth first in runs (the
-set-partition recursion of Hardy, Lucet and Limnios, IEEE Trans. Reliab.
-56(3), 2007); a sure link (p = 1) joins every row in place.  A run's pair
-sums are gemv products in a fixed order: bit-identical output.  Enumeration
-runs independently inside each support component; entries across components
-are exactly zero by construction.
+Links with p = 0 are left out.  :func:`_prefix_labels` adds the links to
+a table of label rows and summed weights (breadth first if it cannot hold
+every state, so cycles close early), merges equal rows when it fills its
+slice, and walks the links left depth first in runs (the set-partition
+recursion of Hardy, Lucet and Limnios, IEEE Trans. Reliab. 56(3), 2007); a
+sure link (p = 1) joins every row in place.  A run's pair sums are gemv
+products in a fixed order: bit-identical output.  Enumeration runs
+independently inside each support component; entries across components are
+exactly zero by construction.
 
 There is one pass, :func:`_forced_link_slices`: it yields each component's
 block and, grouped by the block they change, that block as a symmetric
 matrix with every link it is asked about forced off and on.  Asked about no
 link it is :func:`exact_connectivity`; link ranking asks about every link.
 
-This is deliberately the brute-force definition: it serves as the trusted
-reference the sampling engine and all analyses are checked against.  Cost
-grows exponentially with the largest component's edge count, which is why
-the pass enforces a per-component edge limit.
+The sampling engine and all analyses are checked against this engine; it
+is itself checked against references that share no code with it, a sum over
+every edge subset in the tests and the benchmark's oracle.  Cost grows
+exponentially with the largest component's edge count, which is why the pass
+enforces a per-component edge limit.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graph import ProbGraph, _merge, _prefix_labels, _upper_pairs, support_components
+from . import graph
+from .graph import ProbGraph, _merge, support_components
 
 __all__ = [
     "DEFAULT_MAX_EDGES",
@@ -58,13 +60,10 @@ def _check_state(g: ProbGraph, state: Sequence[int]) -> list[int]:
         raise ValueError(
             f"state length {len(state)} does not match edge count {g.m}"
         )
-    bits = []
     for b in state:
-        b = int(b)
-        if b not in (0, 1):
+        if b not in (0, 1):  # by value: 0.7 and 1.9 are refused, True and 1.0 pass
             raise ValueError(f"state entries must be 0 or 1, got {b}")
-        bits.append(b)
-    return bits
+    return [int(b) for b in state]
 
 
 def conditional_connectivity(g: ProbGraph, state: Sequence[int]) -> np.ndarray:
@@ -135,6 +134,131 @@ def exact_connectivity(g: ProbGraph, max_edges: int = DEFAULT_MAX_EDGES) -> np.n
     return _forced_link_slices(g, (), max_edges)[0]
 
 
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the vertex pairs i < j, in np.triu_indices(n, 1) order."""
+    idx = np.arange(n)
+    return np.nonzero(idx[:, None] < idx)  # np.triu_indices(n, 1), cheaper
+
+
+def _merge_rows(lab: np.ndarray, w: np.ndarray) -> int:
+    """Merge the equal columns of the (n, rows) labels `lab` into its first ones, in place, each
+    with the weights (rows of `w`) of its copies summed in column order; returns their count."""
+    widths = [i.bit_length() for i in range(len(lab))]  # vertex i's label is at most i
+    if sum(widths) <= 53:  # one exact float64 key a column, each label in its own bits
+        key = np.ldexp(1.0, np.cumsum([0] + widths[:-1])) @ lab
+    else:  # a column's bytes as one opaque key
+        key = np.ascontiguousarray(lab.T).view(np.dtype((np.void, lab.itemsize * len(lab))))[:, 0]
+    order = key.argsort()
+    key = key[order]
+    fresh = np.concatenate(([True], key[1:] != key[:-1]))
+    group = np.empty(len(order), np.intp)
+    group[order] = fresh.cumsum() - 1
+    first = order[fresh]
+    lab[:, : len(first)] = lab.take(first, axis=1)
+    sums = [np.bincount(group, col, len(first)) for col in w.reshape(len(w), -1).T]
+    w[: len(first)] = np.column_stack(sums).reshape(w[: len(first)].shape)
+    return len(first)
+
+
+def _link_order(n: int, eu: list[int], ev: list[int]) -> tuple[list[int], list[bool]]:
+    """The links (eu[k], ev[k]) in breadth-first order from a vertex of highest degree:
+    by the later breadth-first position of their two ends, then the earlier one, ties
+    in index order.  Vertices the search does not reach come last.
+
+    Returns the order and, along it, whether each link closes a cycle.  Links that
+    share a later end sit together, the first of them the tree link that reaches it,
+    so every other one closes a cycle.  Exact on a connected graph; on another, links
+    among the vertices the search does not reach are all flagged but the first.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in zip(eu, ev):
+        adj[a].append(b)
+        adj[b].append(a)
+    degree = list(map(len, adj))
+    seen, pos = [degree.index(max(degree))], [n] * n
+    pos[seen[0]] = 0
+    for a in seen:  # grows while it is read
+        for b in adj[a]:
+            if pos[b] == n:
+                pos[b] = len(seen)
+                seen.append(b)
+    key = [pos[a] * (n + 1) + pos[b] if pos[a] > pos[b] else pos[b] * (n + 1) + pos[a]
+           for a, b in zip(eu, ev)]  # (later position, earlier) as one integer
+    order = sorted(range(len(key)), key=key.__getitem__)
+    later = [key[k] // (n + 1) for k in order]
+    return order, [k > 0 and later[k] == later[k - 1] for k in range(len(order))]
+
+
+def _prefix_labels(
+    n: int, eu: np.ndarray, ev: np.ndarray, on: np.ndarray, off: np.ndarray, state_bytes: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The partitions of all 2^m edge states, as label rows with summed weights, in runs.
+
+    Edge k weighs a state by on[k, c] or off[k, c] in weight column c as it is
+    on or off; the (m, c) factors sum to 1 in each entry.  Yields (lab, w,
+    factor) per run: column r of the (n, rows) labels `lab` labels each vertex
+    with the smallest vertex of its component and stands for states of summed
+    weights w[r] * factor.  Edges join one table of at most _SLICE_BYTES at
+    `state_bytes` a row.  A sure edge, whose off factor is 0 in every column,
+    joins every row in place; any other doubles the table, every row an off
+    row and an on row.  If the table cannot hold all 2^m states, the edges
+    join breadth first (:func:`_link_order`), an edge that closes a cycle
+    splits only the rows in which its ends are apart, and a full table merges
+    its equal rows.  The edges that still do not fit are walked depth first,
+    one run per state of theirs in ascending order (in join order), about one
+    merge a run; an off branch that weighs 0 in every column is not walked, so
+    of the sure edges forced off in their own columns at most one is off in a
+    run.  Runs share arrays: do not write to them.
+    """
+    sure = (off == 0).all(axis=1).tolist()  # off is 0 in every column
+    m, cap = len(eu), min(1 << len(eu), max(1, graph._SLICE_BYTES // state_bytes))  # the table's rows
+    eu, ev, closes = eu.tolist(), ev.tolist(), [False] * len(eu)
+    if 1 << m > cap:  # cycles that close early let the table merge before it walks links
+        order, closes = _link_order(n, eu, ev)
+        eu, ev, sure = ([column[k] for k in order] for column in (eu, ev, sure))
+        on, off = on[order], off[order]
+    lab = np.empty((n, cap), dtype=np.min_scalar_type(n))
+    w = np.empty((cap, on.shape[1]))
+    lab[:, 0], w[0], rows = np.arange(n), 1.0, 1
+    t, since = 0, 0  # edges since .. t - 1 joined after the last merge
+    while t < m:
+        u, v = eu[t], ev[t]
+        if sure[t]:
+            _merge(lab[:, :rows], u, v)
+            w[:rows] *= on[t]
+            t += 1
+            continue
+        if closes[t]:  # a row whose ends share a label stays as it is
+            split = np.flatnonzero(lab[u, :rows] != lab[v, :rows])
+            src = lab[:, :rows].take(split, axis=1)
+        else:
+            split, src = slice(0, rows), lab[:, :rows]
+        grow = src.shape[1]
+        if rows + grow > cap:
+            # a merge costs about four runs of one weight column: walk if the rest costs no more
+            if w[0].size << m - t <= 4 or not any(closes[since:t]):  # or no two rows can be equal
+                break
+            rows, since = _merge_rows(lab[:, :rows], w[:rows]), t
+            continue
+        lab[:, rows : rows + grow] = src
+        _merge(lab[:, rows : rows + grow], u, v)
+        np.multiply(w[split], on[t], out=w[rows : rows + grow])
+        w[split] *= off[t]
+        rows, t = rows + grow, t + 1
+    stack = [(m, lab[:, :rows], np.ones(on.shape[1]))]  # (edges to decide, labels, factor)
+    while stack:
+        k, run, factor = stack.pop()
+        if k > t:
+            joined = run.copy()
+            _merge(joined, eu[k - 1], ev[k - 1])
+            stack.append((k - 1, joined, factor * on[k - 1]))
+            off_factor = factor * off[k - 1]
+            if off_factor.any():  # states that weigh 0 in every column add nothing
+                stack.append((k - 1, run, off_factor))
+        else:
+            yield run, w[:rows], factor
+
+
 def _forced_block_sums(
     nverts: int,
     edges: list[tuple[int, int, float]],
@@ -156,7 +280,7 @@ def _forced_block_sums(
     without division, so a p = 1 link works: forced, it doubles the table like
     any other, else it joins every row in place.  Each of the 2f + 1 columns
     (link forced[r] forced on, forced off, the last as drawn) is one weight
-    column of the table of :func:`probconn.graph._prefix_labels`: a run is a
+    column of the table of :func:`_prefix_labels`: a run is a
     gemv a column, over the pairs of np.triu_indices(nverts, 1), whose sums go
     to both triangles.  A sure link on (a, b) is a's and b's labels merged in a
     copy of each run's, weighed like the own column, or the run's own sums

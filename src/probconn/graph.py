@@ -6,14 +6,14 @@ subgraph of edges with strictly positive probability; it determines which
 vertex pairs can ever be connected.  Its components and cut vertices come
 from one depth-first search, which also groups the nonzero patterns of
 matrices into blocks, stacked by size, for the spectral, bounds and walks
-modules.  The edge-state kernel lives here too: one merge step, used on
-packed sampled states and on the exact engines' table of partitions.
+modules.  Both engines share the merge step that joins two components in
+columns of labels, and the slice that bounds their working memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -135,16 +135,12 @@ def adjacency_matrix(g: ProbGraph) -> np.ndarray:
     return a
 
 
-# Working memory per slice of states: about 10 bytes per vertex and one per
-# edge and state in _state_pair_sums, so 1 MiB holds ~3.3k states at n = 28
-# with 40 edges.  It also sizes Monte Carlo's chunks of packed states.
+# Working memory per slice of batched work, the one batching constant: it caps
+# the exact engine's table of partitions, Monte Carlo's chunks of packed states
+# and the slices of them it labels (about 10 bytes per vertex and one per edge
+# a state, so 1 MiB holds ~3.3k states at n = 28 with 40 edges), and rank's
+# stacks of eigenproblems.
 _SLICE_BYTES = 1 << 20
-
-
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the vertex pairs i < j, in np.triu_indices(n, 1) order."""
-    idx = np.arange(n)
-    return np.nonzero(idx[:, None] < idx)  # np.triu_indices(n, 1), cheaper
 
 
 def _merge(lab: np.ndarray, u: int, v: int, on: np.ndarray | None = None) -> None:
@@ -160,184 +156,6 @@ def _merge(lab: np.ndarray, u: int, v: int, on: np.ndarray | None = None) -> Non
     hi = np.maximum(lu, lv)
     drop = hi - np.minimum(lu, lv)
     lab -= (lab == hi) * (drop if on is None else drop * on)
-
-
-def _state_labels(
-    n: int, eu: np.ndarray, ev: np.ndarray, states: np.ndarray, state_bytes: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Component labels of packed edge states, a slice of about _SLICE_BYTES at a time.
-
-    Row s of `states` is a packed state, ceil(m / 64) little-endian 64-bit
-    words (a column of non-negative 64-bit bitmasks is one word per state),
-    whose bit k % 64 of word k // 64 switches edge (eu[k], ev[k]) on;
-    `state_bytes` is the caller's working memory per state.  Yields (lo, lab)
-    per slice: column c of lab labels each vertex of state lo + c with the
-    smallest vertex of its component.
-    """
-    start = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
-    step = max(1, _SLICE_BYTES // state_bytes)
-    for lo in range(0, len(states), step):
-        octets = states[lo : lo + step].astype("<u8", copy=False).view(np.uint8)
-        on = np.unpackbits(octets, axis=1, count=len(eu), bitorder="little").view(bool)
-        lab = np.repeat(start, len(on), axis=1)  # (n, slice): vertex-major rows
-        for u, v, on_k in zip(eu, ev, np.ascontiguousarray(on.T)):
-            _merge(lab, u, v, on_k)
-        yield lo, lab
-
-
-def _merge_rows(lab: np.ndarray, w: np.ndarray) -> int:
-    """Merge the equal columns of the (n, rows) labels `lab` into its first ones, in place, each
-    with the weights (rows of `w`) of its copies summed in column order; returns their count."""
-    widths = [i.bit_length() for i in range(len(lab))]  # vertex i's label is at most i
-    if sum(widths) <= 53:  # one exact float64 key a column, each label in its own bits
-        key = np.ldexp(1.0, np.cumsum([0] + widths[:-1])) @ lab
-    else:  # a column's bytes as one opaque key
-        key = np.ascontiguousarray(lab.T).view(np.dtype((np.void, lab.itemsize * len(lab))))[:, 0]
-    order = key.argsort()
-    key = key[order]
-    fresh = np.concatenate(([True], key[1:] != key[:-1]))
-    group = np.empty(len(order), np.intp)
-    group[order] = fresh.cumsum() - 1
-    first = order[fresh]
-    lab[:, : len(first)] = lab.take(first, axis=1)
-    sums = [np.bincount(group, col, len(first)) for col in w.reshape(len(w), -1).T]
-    w[: len(first)] = np.column_stack(sums).reshape(w[: len(first)].shape)
-    return len(first)
-
-
-def _link_order(n: int, eu: list[int], ev: list[int]) -> tuple[list[int], list[bool]]:
-    """The links (eu[k], ev[k]) in breadth-first order from a vertex of highest degree:
-    by the later breadth-first position of their two ends, then the earlier one, ties
-    in index order.  Vertices the search does not reach come last.
-
-    Returns the order and, along it, whether each link closes a cycle.  Links that
-    share a later end sit together, the first of them the tree link that reaches it,
-    so every other one closes a cycle.  Exact on a connected graph; on another, links
-    among the vertices the search does not reach are all flagged but the first.
-    """
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in zip(eu, ev):
-        adj[a].append(b)
-        adj[b].append(a)
-    degree = list(map(len, adj))
-    seen, pos = [degree.index(max(degree))], [n] * n
-    pos[seen[0]] = 0
-    for a in seen:  # grows while it is read
-        for b in adj[a]:
-            if pos[b] == n:
-                pos[b] = len(seen)
-                seen.append(b)
-    key = [pos[a] * (n + 1) + pos[b] if pos[a] > pos[b] else pos[b] * (n + 1) + pos[a]
-           for a, b in zip(eu, ev)]  # (later position, earlier) as one integer
-    order = sorted(range(len(key)), key=key.__getitem__)
-    later = [key[k] // (n + 1) for k in order]
-    return order, [k > 0 and later[k] == later[k - 1] for k in range(len(order))]
-
-
-def _prefix_labels(
-    n: int, eu: np.ndarray, ev: np.ndarray, on: np.ndarray, off: np.ndarray, state_bytes: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The partitions of all 2^m edge states, as label rows with summed weights, in runs.
-
-    Edge k weighs a state by on[k, c] or off[k, c] in weight column c as it is
-    on or off; the (m, c) factors sum to 1 in each entry.  Yields (lab, w,
-    factor) per run: column r of the (n, rows) labels `lab` labels each vertex
-    with the smallest vertex of its component and stands for states of summed
-    weights w[r] * factor.  Edges join one table of at most _SLICE_BYTES at
-    `state_bytes` a row.  A sure edge, whose off factor is 0 in every column,
-    joins every row in place; any other doubles the table, every row an off
-    row and an on row.  If the table cannot hold all 2^m states, the edges
-    join breadth first (:func:`_link_order`), an edge that closes a cycle
-    splits only the rows in which its ends are apart, and a full table merges
-    its equal rows.  The edges that still do not fit are walked depth first,
-    one run per state of theirs in ascending order (in join order), about one
-    merge a run; an off branch that weighs 0 in every column is not walked, so
-    of the sure edges forced off in their own columns at most one is off in a
-    run.  Runs share arrays: do not write to them.
-    """
-    sure = (off == 0).all(axis=1).tolist()  # off is 0 in every column
-    m, cap = len(eu), min(1 << len(eu), max(1, _SLICE_BYTES // state_bytes))  # the table's rows
-    eu, ev, closes = eu.tolist(), ev.tolist(), [False] * len(eu)
-    if 1 << m > cap:  # cycles that close early let the table merge before it walks links
-        order, closes = _link_order(n, eu, ev)
-        eu, ev, sure = ([column[k] for k in order] for column in (eu, ev, sure))
-        on, off = on[order], off[order]
-    lab = np.empty((n, cap), dtype=np.min_scalar_type(n))
-    w = np.empty((cap, on.shape[1]))
-    lab[:, 0], w[0], rows = np.arange(n), 1.0, 1
-    t, since = 0, 0  # edges since .. t - 1 joined after the last merge
-    while t < m:
-        u, v = eu[t], ev[t]
-        if sure[t]:
-            _merge(lab[:, :rows], u, v)
-            w[:rows] *= on[t]
-            t += 1
-            continue
-        if closes[t]:  # a row whose ends share a label stays as it is
-            split = np.flatnonzero(lab[u, :rows] != lab[v, :rows])
-            src = lab[:, :rows].take(split, axis=1)
-        else:
-            split, src = slice(0, rows), lab[:, :rows]
-        grow = src.shape[1]
-        if rows + grow > cap:
-            # a merge costs about four runs of one weight column: walk if the rest costs no more
-            if w[0].size << m - t <= 4 or not any(closes[since:t]):  # or no two rows can be equal
-                break
-            rows, since = _merge_rows(lab[:, :rows], w[:rows]), t
-            continue
-        lab[:, rows : rows + grow] = src
-        _merge(lab[:, rows : rows + grow], u, v)
-        np.multiply(w[split], on[t], out=w[rows : rows + grow])
-        w[split] *= off[t]
-        rows, t = rows + grow, t + 1
-    stack = [(m, lab[:, :rows], np.ones(on.shape[1]))]  # (edges to decide, labels, factor)
-    while stack:
-        k, run, factor = stack.pop()
-        if k > t:
-            joined = run.copy()
-            _merge(joined, eu[k - 1], ev[k - 1])
-            stack.append((k - 1, joined, factor * on[k - 1]))
-            off_factor = factor * off[k - 1]
-            if off_factor.any():  # states that weigh 0 in every column add nothing
-                stack.append((k - 1, run, off_factor))
-        else:
-            yield run, w[:rows], factor
-
-
-def _state_pair_sums(
-    n: int, eu: np.ndarray, ev: np.ndarray, states: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Summed weight of the edge states in which each vertex pair is connected.
-
-    Row s of `states` is a packed edge state (see :func:`_state_labels`) and
-    carries `weights[s]`, such as a sample multiplicity.  Returns one sum per
-    pair in np.triu_indices(n, 1) order, in the dtype of `weights`; integer
-    weights give exact integer sums while a slice's total weight stays below
-    2^53.  States are unpacked and labelled a slice at a time, and each
-    vertex's pairs with the later vertices are summed as one float64
-    matrix-vector product, so memory stays O(slice * (n + m)) whatever the
-    batch size.
-    """
-    sums = np.zeros(n * (n - 1) // 2, dtype=weights.dtype)
-    part = np.empty(len(sums))  # one slice's sums, exact in float64
-    state_bytes = 10 * n + len(eu)  # labels, unpacked bits, one vertex's indicators
-    for lo, lab in _state_labels(n, eu, ev, states, state_bytes):
-        w = weights[lo : lo + lab.shape[1]].astype(np.float64)
-        at = 0
-        for i in range(n - 1):
-            np.matmul(lab[i + 1 :] == lab[i], w, out=part[at : at + n - 1 - i])
-            at += n - 1 - i
-        sums += part.astype(sums.dtype, copy=False)
-    return sums
-
-
-def _pair_matrix(n: int, values: np.ndarray) -> np.ndarray:
-    """Symmetric matrix with unit diagonal from np.triu_indices(n, 1) values."""
-    out = np.eye(n)
-    upper = _upper_pairs(n)
-    out[upper] = values
-    out.T[upper] = values
-    return out
 
 
 def _search(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[list[int]], list[int]]:

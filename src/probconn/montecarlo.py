@@ -10,23 +10,24 @@ packed states: ceil(m / 64) little-endian 64-bit words per sample, bit
 k % 64 of word k // 64 for edge k.  A chunk holds half of
 :data:`probconn.graph._SLICE_BYTES` of packed states and draws its raw
 words a quarter slice at a time; it is reduced to its distinct states and
-their multiplicities, which go as they are through the edge-state kernel
-(:func:`probconn.graph._state_pair_sums`), whose merge step the exact
-engine shares.  Connectivity indicators are accumulated as integer
-counts, so the estimate is independent of chunking and repeated runs
-with the same (graph, samples, seed) are bit-identical.
+their multiplicities, which :func:`_state_pair_sums` labels a slice at a
+time with the merge step the exact engine shares.  Connectivity
+indicators are accumulated as integer counts, so the estimate is
+independent of chunking and repeated runs with the same (graph, samples,
+seed) are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import graph
-from .graph import ProbGraph, _pair_matrix, _state_pair_sums
+from .graph import ProbGraph, _merge
 
 __all__ = ["HalfWidths", "McEstimate", "ci_halfwidth", "mc_connectivity"]
 
@@ -94,6 +95,43 @@ def _distinct_states(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct.view("<u8").reshape(-1, words), counts
 
 
+def _state_pair_sums(
+    n: int, eu: np.ndarray, ev: np.ndarray, states: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Summed weight of the edge states in which each vertex pair is connected.
+
+    Row s of `states`, of weight `weights[s]` (such as a sample multiplicity),
+    is a packed edge state: ceil(m / 64) little-endian 64-bit words, bit
+    k % 64 of word k // 64 switching edge (eu[k], ev[k]) on (a column of
+    non-negative 64-bit bitmasks is one word per state).  Returns one
+    sum per pair in np.triu_indices(n, 1) order, in the dtype of `weights`;
+    integer weights give exact integer sums while a slice's total weight
+    stays below 2^53.  States are unpacked and labelled a slice of about
+    _SLICE_BYTES at a time, each vertex with the smallest vertex of its
+    component, and each vertex's pairs with the later vertices are summed as
+    one float64 matrix-vector product, so memory stays O(slice * (n + m))
+    whatever the batch size.
+    """
+    sums = np.zeros(n * (n - 1) // 2, dtype=weights.dtype)
+    part = np.empty(len(sums))  # one slice's sums, exact in float64
+    start = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
+    # a state's labels, unpacked bits and one vertex's indicators
+    step = max(1, graph._SLICE_BYTES // (10 * n + len(eu)))
+    for lo in range(0, len(states), step):
+        octets = states[lo : lo + step].astype("<u8", copy=False).view(np.uint8)
+        on = np.unpackbits(octets, axis=1, count=len(eu), bitorder="little").view(bool)
+        lab = np.repeat(start, len(on), axis=1)  # (n, slice): vertex-major rows
+        for u, v, on_k in zip(eu, ev, np.ascontiguousarray(on.T)):
+            _merge(lab, u, v, on_k)
+        w = weights[lo : lo + step].astype(np.float64)
+        at = 0
+        for i in range(n - 1):
+            np.matmul(lab[i + 1 :] == lab[i], w, out=part[at : at + n - 1 - i])
+            at += n - 1 - i
+        sums += part.astype(sums.dtype, copy=False)
+    return sums
+
+
 def mc_connectivity(g: ProbGraph, samples: int, seed: int = 0) -> McEstimate:
     """Estimate the connectivity matrix by sampling full edge states.
 
@@ -121,7 +159,9 @@ def mc_connectivity(g: ProbGraph, samples: int, seed: int = 0) -> McEstimate:
         states, counts = _distinct_states(
             _edge_states(seed, lo, min(lo + chunk, samples), thresholds))
         pair_counts += _state_pair_sums(n, eu, ev, states, counts)
-    q_hat = _pair_matrix(n, pair_counts / samples)
+    q_hat = np.eye(n)
+    upper = np.triu_indices(n, 1)
+    q_hat[upper] = q_hat.T[upper] = pair_counts / samples
     std_err = np.sqrt(q_hat * (1.0 - q_hat) / samples)
     np.fill_diagonal(std_err, 0.0)
     return McEstimate(q_hat=q_hat, samples=samples, std_err=std_err, seed=seed)
@@ -134,7 +174,10 @@ def ci_halfwidth(est: McEstimate, pair: tuple[int, int], confidence: float) -> H
     Hoeffding width sqrt(ln(2 / (1 - confidence)) / (2 N)); the latter is
     guaranteed regardless of the entry's distribution.
     """
-    i, j = pair
+    try:
+        i, j = map(operator.index, pair)
+    except TypeError:
+        raise ValueError(f"pair {pair} must hold two integer vertex indices") from None
     n = est.q_hat.shape[0]
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise ValueError(f"pair {pair} must name two distinct vertices in [0, {n})")

@@ -83,13 +83,23 @@ class SensitivityRanking:
     lambda_max: float
 
 
-def affine_slice(g: ProbGraph, edge: int, max_edges: int = DEFAULT_MAX_EDGES) -> AffineSlice:
-    """Exact endpoint evaluations of one link's affine influence, from one enumeration;
-    raises GraphValidationError for an edge index outside [0, m)."""
+def _link_block(
+    g: ProbGraph, edge: int, max_edges: int
+) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
+    """Q of `g` and the block that link `edge` changes, from one enumeration: its
+    vertices and the (1, b, b) stacks q0 and q1 of the block with the link forced
+    off and on; raises GraphValidationError for an edge index outside [0, m)."""
     if not 0 <= edge < g.m:
         raise graph.GraphValidationError(f"edge index {edge} outside [0, {g.m})")
     q, _, groups = _forced_link_slices(g, [g.edges[edge][:2]], max_edges)
-    verts, _, *ends = next(groups)
+    verts, _, q0, q1 = next(groups)
+    return q, verts, q0, q1
+
+
+def affine_slice(g: ProbGraph, edge: int, max_edges: int = DEFAULT_MAX_EDGES) -> AffineSlice:
+    """Exact endpoint evaluations of one link's affine influence, from one enumeration;
+    raises GraphValidationError for an edge index outside [0, m)."""
+    q, verts, *ends = _link_block(g, edge, max_edges)
     q0, q1 = q.copy(), q.copy()
     for out, block in zip((q0, q1), ends):
         out[np.ix_(verts, verts)] = block[0]
@@ -138,10 +148,7 @@ def lambda_derivative(
     is simple (gap above 1e-8, method "rayleigh"), else the top eigenvalue of
     X' slope X over its tied eigenvectors X ("eigenspace"); raises GraphValidationError
     for an edge index outside [0, m)."""
-    if not 0 <= edge < g.m:
-        raise graph.GraphValidationError(f"edge index {edge} outside [0, {g.m})")
-    q, _, groups = _forced_link_slices(g, [g.edges[edge][:2]], max_edges)
-    verts, _, q0, q1 = next(groups)
+    q, verts, q0, q1 = _link_block(g, edge, max_edges)
     _, cluster, method = _top_cluster(q)
     (value,) = _top_eigenvalues([_derivatives(cluster, verts, q1 - q0)])
     return EdgeDerivative(edge, value, method)

@@ -145,13 +145,18 @@ def pack_states(on) -> np.ndarray:
     return np.packbits(bits, bitorder="little").view("<u8").reshape(len(on), words)
 
 
-def pair_indicators(n, active_edges) -> list[int]:
-    """1 per vertex pair (i < j, row-major) joined by the given edges, by BFS."""
+def component_labels(n, active_edges) -> list[int]:
+    """Each vertex's label, the smallest vertex of its component under the given edges, by BFS."""
     adj = [[] for _ in range(n)]
     for i, j in active_edges:
         adj[i].append(j)
         adj[j].append(i)
-    labels = _bfs_labels(n, adj)
+    return _bfs_labels(n, adj)
+
+
+def pair_indicators(n, active_edges) -> list[int]:
+    """1 per vertex pair (i < j, row-major) joined by the given edges, by BFS."""
+    labels = component_labels(n, active_edges)
     return [int(labels[i] == labels[j]) for i in range(n) for j in range(i + 1, n)]
 
 

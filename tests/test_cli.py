@@ -345,15 +345,17 @@ class TestRunCommand:
         assert "Traceback" not in err
 
     def test_importing_the_cli_leaves_statistics_unloaded(self):
-        # the CLI never calls ci_halfwidth, and importing statistics loads fractions and decimal
+        # the CLI never calls ci_halfwidth, and importing statistics loads fractions and decimal;
+        # scipy and networkx are installed as the benchmark's references, never the package's
         src = str(Path(cli.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
+        unloaded = ["statistics", "scipy", "networkx"]
         done = subprocess.run(
-            [sys.executable, "-c", "import sys, probconn.cli; print('statistics' in sys.modules)"],
+            [sys.executable, "-c", f"import sys, probconn.cli; print([m in sys.modules for m in {unloaded}])"],
             capture_output=True, env=env, timeout=60, check=True, text=True,
         )
-        assert done.stdout == "False\n"
+        assert done.stdout == f"{[False] * len(unloaded)}\n"
 
     def test_same_bytes_for_any_blas_thread_count(self, tmp_path):
         # 2^20 and 2^22 states: the exact engine sums each run of states with one gemv

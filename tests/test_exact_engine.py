@@ -52,8 +52,13 @@ class TestConditionalConnectivity:
             conditional_connectivity(PATH3, (1,))
 
     def test_rejects_non_binary_entries(self):
-        with pytest.raises(ValueError, match="0 or 1"):
-            conditional_connectivity(PATH3, (1, 2))
+        # entries are compared with 0 and 1, not truncated: (0.7, 1.9) is no state (0, 1)
+        for state in [(1, 2), (0.7, 1.9), (1, 0.5)]:
+            for query in (conditional_connectivity, state_probability):
+                with pytest.raises(ValueError, match="0 or 1"):
+                    query(PATH3, state)
+        np.testing.assert_array_equal(conditional_connectivity(PATH3, (True, 1.0)), np.ones((3, 3)))
+        assert state_probability(PATH3, (np.int64(1), False)) == pytest.approx(0.18, abs=1e-15)
 
 
 class TestStateProbability:
@@ -102,7 +107,7 @@ class TestStateWeights:
                     adj[v].append(u)
             expected.setdefault(tuple(bfs_labels(g.n, adj)), []).append(state_probability(g, bits))
         got: dict[tuple[int, ...], list[float]] = {}
-        for lab, w, factor in graph_module._prefix_labels(g.n, eu, ev, p[:, None], 1 - p[:, None], 1):
+        for lab, w, factor in exact_module._prefix_labels(g.n, eu, ev, p[:, None], 1 - p[:, None], 1):
             for column, weight in zip(lab.T.tolist(), w[:, 0] * factor[0]):
                 got.setdefault(tuple(column), []).append(weight)
         for labels in got.keys() | expected.keys():
@@ -244,13 +249,13 @@ class TestPartitionTable:
     @staticmethod
     def _spy_merges(monkeypatch):
         widths = []  # the vertex count of each row merge
-        merge_rows = graph_module._merge_rows
+        merge_rows = exact_module._merge_rows
 
         def spy(lab, w):
             widths.append(len(lab))
             return merge_rows(lab, w)
 
-        monkeypatch.setattr(graph_module, "_merge_rows", spy)
+        monkeypatch.setattr(exact_module, "_merge_rows", spy)
         return widths
 
     @pytest.mark.parametrize("slice_bytes", [1 << 17, graph_module._SLICE_BYTES])
@@ -282,7 +287,7 @@ class TestPartitionTable:
     @staticmethod
     def _spy_runs(monkeypatch):
         runs = []  # the rows of each run
-        prefix_labels = graph_module._prefix_labels
+        prefix_labels = exact_module._prefix_labels
 
         def counted(*args):
             for run in prefix_labels(*args):
@@ -332,7 +337,7 @@ class TestPartitionTable:
         # rank forces each sure link off in its own weight column only, so a run with two
         # of them off weighs 0 in every column and is not walked (about 2^32 states if it were)
         runs = []
-        prefix_labels = graph_module._prefix_labels
+        prefix_labels = exact_module._prefix_labels
 
         def capped(*args):
             for run in prefix_labels(*args):
@@ -355,7 +360,7 @@ class TestPartitionTable:
     def test_one_weight_column_per_question(self, monkeypatch):
         # Q alone carries one column; each link asked about adds its forced-on and forced-off one
         widths = []
-        prefix_labels = graph_module._prefix_labels
+        prefix_labels = exact_module._prefix_labels
 
         def spy(n, eu, ev, on, off, state_bytes):
             widths.append(on.shape[1])
@@ -371,7 +376,7 @@ class TestPartitionTable:
         # the path 3 - 0 - 1 - 2 with the chord (1, 3), and the link (4, 5): the search
         # starts at vertex 1 and finds 0, 2 and 3, so 1's star joins first, (0, 3) closes
         # the cycle, and the link of vertices it does not reach joins last
-        assert graph_module._link_order(6, [0, 0, 1, 1, 4], [1, 3, 2, 3, 5]) == (
+        assert exact_module._link_order(6, [0, 0, 1, 1, 4], [1, 3, 2, 3, 5]) == (
             [0, 2, 3, 1, 4], [False, False, False, True, False])
 
 

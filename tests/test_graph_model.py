@@ -12,8 +12,10 @@ from probconn import (
     with_edge_probability,
 )
 from graphgen import random_graph
-from oracles import pack_states, pair_indicators
+from oracles import component_labels, pack_states, pair_indicators
+from probconn import exact as exact_module
 from probconn import graph as graph_module
+from probconn import montecarlo
 
 
 class TestBuildGraph:
@@ -139,8 +141,10 @@ class TestSupportComponents:
 class TestStatePairSums:
     @pytest.mark.parametrize("slice_bytes", [1, graph_module._SLICE_BYTES])
     def test_matches_bfs_on_random_state_batches(self, monkeypatch, slice_bytes):
-        # slice_bytes=1 processes one state per slice
+        # slice_bytes=1 processes one state per slice, read from graph at call time
         monkeypatch.setattr(graph_module, "_SLICE_BYTES", slice_bytes)
+        widths, merge = [], montecarlo._merge  # the states of each slice labelled
+        monkeypatch.setattr(montecarlo, "_merge", lambda lab, *args: widths.append(lab.shape[1]) or merge(lab, *args))
         rng = np.random.default_rng(81)
         for _ in range(25):
             # vertices without edges stay isolated in every state
@@ -152,11 +156,12 @@ class TestStatePairSums:
                 [pair_indicators(g.n, ends[row]) for row in states], dtype=np.int64
             ).reshape(len(states), -1)
             for weights in (np.ones(len(states)), rng.integers(1, 9, len(states))):
-                sums = graph_module._state_pair_sums(
+                sums = montecarlo._state_pair_sums(
                     g.n, ends[:, 0], ends[:, 1], pack_states(states), weights
                 )
                 assert sums.dtype == weights.dtype
                 np.testing.assert_array_equal(sums, weights @ indicators)
+        assert (max(widths) == 1) == (slice_bytes == 1)
 
     @pytest.mark.parametrize("slice_bytes", [1, graph_module._SLICE_BYTES])
     @pytest.mark.parametrize("m", [63, 64, 65, 129])
@@ -176,7 +181,7 @@ class TestStatePairSums:
             assert words.tolist() == [1 << k % 64 if w == k // 64 else 0 for w in range(len(words))]
         indicators = np.array([pair_indicators(n, ends[row]) for row in states])
         weights = rng.integers(1, 9, len(states))
-        sums = graph_module._state_pair_sums(n, ends[:, 0], ends[:, 1], packed, weights)
+        sums = montecarlo._state_pair_sums(n, ends[:, 0], ends[:, 1], packed, weights)
         np.testing.assert_array_equal(sums, weights @ indicators)
 
     @pytest.mark.parametrize("slice_bytes", [1, graph_module._SLICE_BYTES])
@@ -192,12 +197,9 @@ class TestStatePairSums:
         drawn = rng.random((10, m)) < rng.uniform(0.5, 1.0, (10, 1))
         states = np.vstack([drawn, np.zeros(m, bool), np.ones(m, bool)])
         packed = pack_states(states)
-        for _, lab in graph_module._state_labels(n, ends[:, 0], ends[:, 1], packed, 1):
-            assert lab.dtype == np.uint16
-            assert lab.max() < n
         indicators = np.array([pair_indicators(n, ends[row]) for row in states])
         weights = rng.integers(1, 9, len(states))
-        sums = graph_module._state_pair_sums(n, ends[:, 0], ends[:, 1], packed, weights)
+        sums = montecarlo._state_pair_sums(n, ends[:, 0], ends[:, 1], packed, weights)
         assert sums.dtype == weights.dtype
         np.testing.assert_array_equal(sums, weights @ indicators)
 
@@ -213,7 +215,7 @@ class TestStatePairSums:
         weights = (1 << 40) + 2 * rng.integers(0, 1 << 20, len(states)) + 1
         indicators = np.array([pair_indicators(n, ends[row]) for row in states])
         packed = pack_states(states)
-        sums = graph_module._state_pair_sums(n, ends[:, 0], ends[:, 1], packed, weights)
+        sums = montecarlo._state_pair_sums(n, ends[:, 0], ends[:, 1], packed, weights)
         assert sums.dtype == np.int64
         assert 1 << 31 < weights.sum() < 1 << 53
         assert sums.tolist() == [sum(int(w) for w, on in zip(weights, col) if on) for col in indicators.T]
@@ -224,7 +226,7 @@ def _joined_order(n, eu, ev, runs):
     holds all 2^m states, else breadth first, as a table too small for them takes them."""
     if len(runs) == 1 and runs[0][0].shape[1] == 1 << len(eu):
         return np.arange(len(eu))
-    return np.array(graph_module._link_order(n, eu.tolist(), ev.tolist())[0], dtype=int)
+    return np.array(exact_module._link_order(n, eu.tolist(), ev.tolist())[0], dtype=int)
 
 
 class TestPrefixLabels:
@@ -239,7 +241,7 @@ class TestPrefixLabels:
             g = random_graph(rng, n_lo=1, n_hi=7, m_hi=9)
             eu, ev = np.array([(i, j) for i, j, _ in g.edges], dtype=int).reshape(g.m, 2).T
             p = rng.uniform(0.1, 0.9, g.m)
-            runs = list(graph_module._prefix_labels(g.n, eu, ev, p[:, None], 1 - p[:, None], 3))
+            runs = list(exact_module._prefix_labels(g.n, eu, ev, p[:, None], 1 - p[:, None], 3))
             order = _joined_order(g.n, eu, ev, runs)  # from here on links count in join order
             eu, ev, p = eu[order], ev[order], p[order]
             low = g.m - (len(runs).bit_length() - 1)  # the table's links
@@ -249,12 +251,12 @@ class TestPrefixLabels:
                 high = [(r >> k - low) & 1 for k in range(low, g.m)]
                 assert factor[0] == pytest.approx(np.prod(np.where(high, p[low:], 1 - p[low:])), rel=1e-14)
                 masks = (r << low) + np.arange(1 << low)
-                ((_, labels),) = graph_module._state_labels(g.n, eu, ev, masks[:, None], 1)
-                assert lab.dtype == labels.dtype
-                assert set(map(tuple, labels.T.tolist())) <= set(map(tuple, lab.T.tolist()))
                 bits = (masks[:, None] >> np.arange(g.m)) & 1
+                labels = {tuple(component_labels(g.n, zip(eu[on == 1], ev[on == 1]))) for on in bits}
+                assert lab.dtype == np.min_scalar_type(g.n)
+                assert labels <= set(map(tuple, lab.T.tolist()))
                 expected = [pair_indicators(g.n, zip(eu[on == 1], ev[on == 1])) for on in bits]
-                pair_i, pair_j = graph_module._upper_pairs(g.n)
+                pair_i, pair_j = exact_module._upper_pairs(g.n)
                 np.testing.assert_allclose(((lab[pair_i] == lab[pair_j]) @ w[:, 0]) * factor[0],
                                            np.prod(np.where(bits, p, 1 - p), axis=1) @ np.reshape(expected, (len(masks), -1)),
                                            rtol=0, atol=1e-15)
@@ -262,7 +264,7 @@ class TestPrefixLabels:
     def test_one_state_per_run_when_a_state_outgrows_the_slice(self):
         eu, ev, p = np.array([0, 1, 0]), np.array([1, 2, 2]), np.array([0.3, 0.6, 0.8])
         on = p[:, None]
-        runs = list(graph_module._prefix_labels(3, eu, ev, on, 1 - on, graph_module._SLICE_BYTES + 1))
+        runs = list(exact_module._prefix_labels(3, eu, ev, on, 1 - on, graph_module._SLICE_BYTES + 1))
         assert [lab.shape for lab, _, _ in runs] == [(3, 1)] * 8
         p = p[_joined_order(3, eu, ev, runs)]  # (0, 1), (0, 2), then (1, 2) closes the cycle
         for s, (_, w, factor) in enumerate(runs):  # ascending masks, one state's weight each

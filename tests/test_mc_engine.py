@@ -9,7 +9,7 @@ import pytest
 from probconn import build_graph, ci_halfwidth, exact_connectivity, mc_connectivity
 from probconn import graph as graph_module
 from probconn import montecarlo
-from probconn.graph import _state_pair_sums
+from probconn.montecarlo import _state_pair_sums
 from graphgen import random_graph
 from oracles import pack_states, splitmix64_uniforms
 
@@ -226,6 +226,8 @@ class TestCiHalfwidth:
         est = mc_connectivity(TRIANGLE, samples=10, seed=0)
         with pytest.raises(ValueError, match="distinct"):
             ci_halfwidth(est, (1, 1), 0.95)
+        with pytest.raises(ValueError, match="integer"):
+            ci_halfwidth(est, (0, 1.5), 0.95)
 
     def test_rejects_unknown_confidence(self):
         est = mc_connectivity(TRIANGLE, samples=10, seed=0)

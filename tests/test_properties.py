@@ -31,7 +31,7 @@ from probconn import (
 )
 from probconn import graph as graph_module
 from probconn import montecarlo
-from probconn.exact import _forced_link_slices
+from probconn.exact import _forced_link_slices, _link_order
 from probconn.graph import _pattern_blocks, _search
 from oracles import (
     closes_cycle,
@@ -305,7 +305,7 @@ def connected_links(draw, max_n=10, max_extra=12):
 def _flags_and_oracle(n, pairs):
     """_link_order's cycle flags and the oracle's, both along its order."""
     eu, ev = [a for a, _ in pairs], [b for _, b in pairs]
-    order, closes = graph_module._link_order(n, eu, ev)
+    order, closes = _link_order(n, eu, ev)
     assert sorted(order) == list(range(len(pairs)))
     return closes, closes_cycle(n, [pairs[k] for k in order])
 

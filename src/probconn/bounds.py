@@ -78,13 +78,17 @@ def _pairs(mask: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(i.tolist(), j.tolist()))
 
 
-def compute_bounds(a, q, tolerance: float = 1e-12) -> BoundsReport:
+def compute_bounds(
+    a, q, tolerance: float = 1e-12, blocks: list[list[int]] | None = None
+) -> BoundsReport:
     """Evaluate the relay bounds of `q` against link probabilities `a`.
 
     Uses the empty-set conventions max {} = 0 and prod {} = 1, so for
     n == 2 the lower bound is 0 and the upper bound collapses to a_01.
     Diagonal entries of both bound matrices are set to 1.  A violation is
     recorded whenever q_ij < lower - tolerance or q_ij > upper + tolerance.
+    `blocks`, if given, must be the blocks of q's nonzero pattern as
+    graph._pattern_blocks finds them; they save the search.
     """
     a = _square_symmetric(a)
     q = _square_symmetric(q)
@@ -92,7 +96,8 @@ def compute_bounds(a, q, tolerance: float = 1e-12) -> BoundsReport:
         raise ValueError(f"dimension mismatch: {a.shape} vs {q.shape}")
     _check_tolerance(tolerance)
     n = q.shape[0]
-    blocks = _pattern_blocks(q != 0.0)
+    if blocks is None:
+        blocks = _pattern_blocks(q != 0.0)
     lower = np.zeros((n, n))
     for idx in _size_stacks(blocks):
         qs = _gather(q, idx)
@@ -126,6 +131,7 @@ def find_critical_vertices(
     q,
     tolerance: float = 1e-9,
     statistical: bool = False,
+    blocks: list[list[int]] | None = None,
 ) -> list[CriticalFinding]:
     """Report every vertex k that some pair can only reach through k.
 
@@ -139,13 +145,16 @@ def find_critical_vertices(
     checked for every l in V1, m in V3; residuals above tolerance are
     attached as warnings.  Pass statistical=True when `q` is a sampled
     estimate: the findings are then marked as suggestive rather than
-    certified.
+    certified.  `blocks`, if given, must be the blocks of q's nonzero pattern
+    as graph._pattern_blocks finds them; they save the search.
     """
     q = _square_symmetric(q)
     _check_tolerance(tolerance)
     n = q.shape[0]
     findings: list[CriticalFinding] = []
-    for idx in _size_stacks(_pattern_blocks(q != 0.0)):
+    if blocks is None:
+        blocks = _pattern_blocks(q != 0.0)
+    for idx in _size_stacks(blocks):
         qs = _gather(q, idx)
         stack = idx.tolist()
         ends = np.arange(len(stack[0]))

@@ -27,7 +27,13 @@ from . import __version__
 from .bounds import compute_bounds, find_critical_vertices
 from .exact import DEFAULT_MAX_EDGES, EdgeLimitExceeded, exact_connectivity
 from .fileio import GraphFileError, parse_graph_file, to_json
-from .graph import GraphValidationError, ProbGraph, adjacency_matrix, support_components
+from .graph import (
+    GraphValidationError,
+    ProbGraph,
+    _pattern_blocks,
+    adjacency_matrix,
+    support_components,
+)
 from .montecarlo import mc_connectivity
 from .sensitivity import rank_improvements
 from .spectral import spectral_report
@@ -105,13 +111,12 @@ def _tolerance(args, default: float) -> float:
     return default if args.tolerance is None else args.tolerance
 
 
-def _q_section(g: ProbGraph, q, est, args) -> dict:
+def _q_section(g: ProbGraph, q, est, args, partition, blocks) -> dict:
     return {"q": q}
 
 
-def _spectrum_section(g: ProbGraph, q, est, args) -> dict:
-    partition = support_components(g)
-    report = spectral_report(q, partition, _tolerance(args, _DEFAULT_CRITICAL_TOL))
+def _spectrum_section(g: ProbGraph, q, est, args, partition, blocks) -> dict:
+    report = spectral_report(q, partition, _tolerance(args, _DEFAULT_CRITICAL_TOL), blocks)
     fields = {
         "components": [
             {"vertices": block, "lambda_max": lam}
@@ -128,8 +133,8 @@ def _spectrum_section(g: ProbGraph, q, est, args) -> dict:
     return fields
 
 
-def _bounds_section(g: ProbGraph, q, est, args) -> dict:
-    report = compute_bounds(adjacency_matrix(g), q, _tolerance(args, _DEFAULT_BOUNDS_TOL))
+def _bounds_section(g: ProbGraph, q, est, args, partition, blocks) -> dict:
+    report = compute_bounds(adjacency_matrix(g), q, _tolerance(args, _DEFAULT_BOUNDS_TOL), blocks)
     return {
         "bounds": {
             "lower": report.lower,
@@ -141,7 +146,7 @@ def _bounds_section(g: ProbGraph, q, est, args) -> dict:
     }
 
 
-def _critical_section(g: ProbGraph, q, est, args) -> dict:
+def _critical_section(g: ProbGraph, q, est, args, partition, blocks) -> dict:
     tolerance = _tolerance(args, _DEFAULT_CRITICAL_TOL)
     findings = [
         {
@@ -152,17 +157,19 @@ def _critical_section(g: ProbGraph, q, est, args) -> dict:
             else {"v1": f.partition_hint[0], "v3": f.partition_hint[1]},
             "warnings": [{"l": l, "m": m, "error": err} for l, m, err in f.warnings],
         }
-        for f in find_critical_vertices(q, tolerance)
+        for f in find_critical_vertices(q, tolerance, blocks=blocks)
     ]
     return {"critical_tolerance": tolerance, "critical_vertices": findings}
 
 
-def _mc_section(g: ProbGraph, q, est, args) -> dict:
+def _mc_section(g: ProbGraph, q, est, args, partition, blocks) -> dict:
     return {"mc": {"samples": est.samples, "seed": est.seed, "std_err": est.std_err}}
 
 
 # The document sections of each subcommand that analyzes a connectivity
 # matrix, in output order; `mc` estimates the matrix, the others compute it.
+# Each section gets the support components and the blocks of the matrix's
+# nonzero pattern, found once per job.
 _SECTIONS = {
     "compute": (_q_section, _spectrum_section, _bounds_section, _critical_section),
     "mc": (_q_section, _spectrum_section, _mc_section),
@@ -212,8 +219,12 @@ def run_command(argv: list[str]) -> int:
                 doc["engine"], q = "mc", est.q_hat
             else:
                 doc["engine"], q = "exact", exact_connectivity(g, args.max_edges)
+            # both engines leave every entry across support components exactly 0: q's
+            # blocks are those components or finer, and spectral_report zeroes nothing
+            partition = support_components(g)
+            blocks = _pattern_blocks(q != 0.0, partition)
             for section in _SECTIONS[args.command]:
-                doc.update(section(g, q, est, args))
+                doc.update(section(g, q, est, args, partition, blocks))
         elif args.command == "walk":
             walked = walk_probabilities(walk_matrix(g), args.z)
             doc["z"] = walked.z

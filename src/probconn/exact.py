@@ -13,9 +13,14 @@ every state, so cycles close early), merges equal rows when it fills its
 slice, and walks the links left depth first in runs (the set-partition
 recursion of Hardy, Lucet and Limnios, IEEE Trans. Reliab. 56(3), 2007); a
 sure link (p = 1) joins every row in place.  A run's pair sums are gemv
-products in a fixed order: bit-identical output.  Enumeration runs
-independently inside each support component; entries across components are
-exactly zero by construction.
+products in a fixed order: bit-identical output.  Enumeration runs inside
+each support component; entries across components are exactly zero by
+construction.  Components of one shape (vertex count, number of links with
+p > 0, which of those are sure or asked about, number of absent pairs asked
+about) whose tables hold all 2^m states form a stack: one table with a
+member axis, every member's t-th link joined by one merge, each member's
+pair sums still its own gemvs, so every block is bit for bit what its
+component gets alone (:func:`_stacked_labels`).
 
 There is one pass, :func:`_forced_link_slices`: it yields each component's
 block and, grouped by the block they change, that block as a symmetric
@@ -31,7 +36,7 @@ enforces a per-component edge limit.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -122,14 +127,14 @@ def _support_links(g: ProbGraph, max_edges: int) -> tuple[
 
 def exact_connectivity(g: ProbGraph, max_edges: int = DEFAULT_MAX_EDGES) -> np.ndarray:
     """Exact path-probability matrix of `g`: the pass of :func:`_forced_link_slices`
-    asked about no link, whose table carries one weight column.
+    asked about no link, whose tables carry one weight column per component.
 
-    Enumerates the edge states of each support component separately and
-    assembles the block-diagonal result; entries between different
-    components are exactly 0.  Links with p = 0 are left out and links with
-    p = 1 join every partition in place.  Raises EdgeLimitExceeded when some
-    component holds more than `max_edges` links with p > 0, sure ones
-    included; the Monte Carlo engine is the fallback.
+    Enumerates the edge states of each support component, those of equal
+    shape in one stacked table, and assembles the block-diagonal result;
+    entries between different components are exactly 0.  Links with p = 0
+    are left out and links with p = 1 join every partition in place.  Raises
+    EdgeLimitExceeded when some component holds more than `max_edges` links
+    with p > 0, sure ones included; the Monte Carlo engine is the fallback.
     """
     return _forced_link_slices(g, (), max_edges)[0]
 
@@ -259,20 +264,54 @@ def _prefix_labels(
             yield run, w[:rows], factor
 
 
+def _stacked_labels(
+    n: int, eu: np.ndarray, ev: np.ndarray, on: np.ndarray, off: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The partitions of all 2^m edge states of B components of one shape at once.
+
+    Member b's edge k joins (eu[b, k], ev[b, k]) and weighs a state by on[b,
+    k, c] or off[b, k, c]; edges k that are sure (off 0) in one member are
+    sure in all.  Returns the (n, B, rows) labels and (B, rows, c) weights of
+    one table, edge k of every member joined by one merge, in index order as
+    :func:`_prefix_labels` joins them when its table holds every state: member
+    b's labels lab[:, b] and weights w[b] are row for row what its own table
+    holds.
+    """
+    members, m = eu.shape
+    sure = (off == 0).all(axis=(0, 2)).tolist()
+    member = np.arange(members)
+    lab = np.empty((n, members, 1 << (m - sum(sure))), dtype=np.min_scalar_type(n))
+    w = np.empty((members, lab.shape[2], on.shape[2]))
+    lab[:, :, 0], w[:, 0], rows = np.arange(n)[:, None], 1.0, 1
+    for k in range(m):
+        u, v = (eu[:, k], member), (ev[:, k], member)  # each member's ends, a label row each
+        if sure[k]:
+            _merge(lab[:, :, :rows], u, v)
+            w[:, :rows] *= on[:, k, None]
+            continue
+        lab[:, :, rows : 2 * rows] = lab[:, :, :rows]
+        _merge(lab[:, :, rows : 2 * rows], u, v)
+        np.multiply(w[:, :rows], on[:, k, None], out=w[:, rows : 2 * rows])
+        w[:, :rows] *= off[:, k, None]
+        rows *= 2
+    return lab, w
+
+
 def _forced_block_sums(
     nverts: int,
-    edges: list[tuple[int, int, float]],
+    links: list[list[tuple[int, int, float]]],
     forced: list[int],
-    extra: list[tuple[int, int]],
+    extra: list[list[tuple[int, int]]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block of one component, also with some links forced off and on, from one enumeration.
+    """Blocks of B components of one shape, also with some links forced off and on.
 
-    `edges` are the component's m links with p > 0 as (u, v, p), `forced`
-    indexes f of them and `extra` lists vertex pairs (a, b) that hold no
-    such link.  Returns (own, q0, q1), symmetric blocks with a unit diagonal:
-    own (nverts, nverts) is the component's, q0[r] and q1[r] (of K = f +
-    len(extra)) are it with link forced[r] forced off and on, or for r >= f
-    without and with a sure link on extra[r - f].
+    links[b] are member b's m links with p > 0 as (u, v, p), the same
+    positions sure in every member, `forced` indexes f of them in every
+    member and extra[b] lists as many vertex pairs (x, y) of each that hold
+    no such link.  Returns (own, q0, q1), stacks of symmetric blocks with a
+    unit diagonal: own[b] (nverts, nverts) is member b's, q0[b, r] and q1[b,
+    r] (of K = f + len(extra[b])) are it with link forced[r] forced off and
+    on, or for r >= f without and with a sure link on extra[b][r - f].
 
     Forcing link e on (off) weighs state s by [e is on (off) in s] times the
     leave-one-out product prod_{l != e} f_l(s), where f_l(s) is p_l when
@@ -280,38 +319,61 @@ def _forced_block_sums(
     without division, so a p = 1 link works: forced, it doubles the table like
     any other, else it joins every row in place.  Each of the 2f + 1 columns
     (link forced[r] forced on, forced off, the last as drawn) is one weight
-    column of the table of :func:`_prefix_labels`: a run is a
-    gemv a column, over the pairs of np.triu_indices(nverts, 1), whose sums go
-    to both triangles.  A sure link on (a, b) is a's and b's labels merged in a
-    copy of each run's, weighed like the own column, or the run's own sums
-    when a and b share a label in every row.
+    column of the table.  When a table holds all 2^m states of a member,
+    members share one (:func:`_stacked_labels`), as many as one _SLICE_BYTES
+    slice holds at their labels' and weights' bytes a row; else a member
+    has its own (:func:`_prefix_labels`), which may walk in runs.  Each
+    member's runs are a gemv a column, over the pairs of
+    np.triu_indices(nverts, 1), whose sums go to both triangles: every
+    member's blocks are bit for bit what it gets alone.  A sure link on (x,
+    y) is x's and y's labels merged in a copy of each run's, weighed like the
+    own column, or the run's own sums when x and y share a label in every row.
     """
-    m, f = len(edges), len(forced)
-    eu, ev, probs = (np.array(column) for column in zip(*edges))
+    members, m, f = len(links), len(links[0]), len(forced)
+    eu, ev, probs = (np.array(column) for column in zip(*(zip(*edges) for edges in links)))
     pair_i, pair_j = _upper_pairs(nverts)
-    on = np.repeat(probs[:, None], 2 * f + 1, axis=1)  # row k: link k's factor per column
+    keep, fixed = np.ones((m, 2 * f + 1)), np.zeros((m, 2 * f + 1))
     for r, e in enumerate(forced):  # column r: link e forced on, column f + r: forced off
-        on[e, r], on[e, f + r] = 1.0, 0.0
+        keep[e, r] = keep[e, f + r] = 0.0
+        fixed[e, r] = 1.0
+    on = probs[:, :, None] * keep + fixed  # [b, k]: member b's link k per column, exactly
     off = 1.0 - on  # the last column as drawn
-    sums, joined = np.zeros((2 * f + 1, len(pair_i))), np.zeros((len(extra), len(pair_i)))
     state_bytes = 12 * len(pair_i) + 16 * f + 24 + nverts * (m + 2)  # indicators, table, walk
-    for lab, w, factor in _prefix_labels(nverts, eu, ev, on, off, state_bytes):
-        # one matrix-vector product per column: a gemm's sums vary with the BLAS thread count
-        run = np.matmul(lab[pair_i] == lab[pair_j], w.T[:, :, None])[:, :, 0] * factor[:, None]
-        sums += run
-        for r, (a, b) in enumerate(extra):
-            if lab[a, 0] == lab[b, 0] and (lab[a] == lab[b]).all():  # joined in every row
-                joined[r] += run[-1]
-            else:
-                merged = lab.copy()  # runs share their labels
-                _merge(merged, a, b)
-                joined[r] += ((merged[pair_i] == merged[pair_j]) @ w[:, -1]) * factor[-1]
-    values = np.minimum(np.concatenate((sums, joined)), 1.0)  # sums can overshoot 1 by an ulp
-    out = np.empty((len(values), nverts, nverts))  # the 2f + 1 columns' blocks, then joined's
-    out[:, pair_i, pair_j] = out[:, pair_j, pair_i] = values
-    out.reshape(len(values), -1)[:, :: nverts + 1] = 1.0
-    q0 = out[[*range(f, 2 * f), *[2 * f] * len(extra)]]  # an absent pair's off value is the own
-    return out[2 * f], q0, out[[*range(f), *range(2 * f + 1, len(out))]]
+    size = 1
+    if (1 << m) * state_bytes <= graph._SLICE_BYTES:  # the table holds all 2^m states
+        size = max(1, graph._SLICE_BYTES // ((1 << m) * (nverts + 8 * (2 * f + 1))))
+
+    def member_runs() -> Iterator[tuple[int, Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]]]:
+        for lo in range(0, members, size):
+            if lo + 1 == min(lo + size, members):  # a stack of one
+                yield lo, _prefix_labels(nverts, eu[lo], ev[lo], on[lo], off[lo], state_bytes)
+                continue
+            part = slice(lo, lo + size)
+            lab, w = _stacked_labels(nverts, eu[part], ev[part], on[part], off[part])
+            ones = np.ones(2 * f + 1)
+            yield from ((lo + k, [(lab[:, k], w[k], ones)]) for k in range(len(w)))
+
+    # per member: the 2f + 1 columns' pair sums, then each absent pair's
+    sums = np.zeros((members, 2 * f + 1 + len(extra[0]), len(pair_i)))
+    for b, runs in member_runs():
+        own, joined = sums[b, : 2 * f + 1], sums[b, 2 * f + 1 :]
+        for lab, w, factor in runs:
+            # one matrix-vector product per column: a gemm's sums vary with the BLAS thread count
+            run = np.matmul(lab[pair_i] == lab[pair_j], w.T[:, :, None])[:, :, 0] * factor[:, None]
+            own += run
+            for r, (x, y) in enumerate(extra[b]):
+                if lab[x, 0] == lab[y, 0] and (lab[x] == lab[y]).all():  # joined in every row
+                    joined[r] += run[-1]
+                else:
+                    merged = lab.copy()  # runs share their labels
+                    _merge(merged, x, y)
+                    joined[r] += ((merged[pair_i] == merged[pair_j]) @ w[:, -1]) * factor[-1]
+    values = np.minimum(sums, 1.0)  # sums can overshoot 1 by an ulp
+    out = np.empty((*values.shape[:2], nverts, nverts))
+    out[:, :, pair_i, pair_j] = out[:, :, pair_j, pair_i] = values
+    out.reshape(*values.shape[:2], -1)[:, :, :: nverts + 1] = 1.0
+    q0 = out[:, [*range(f, 2 * f), *[2 * f] * len(extra[0])]]  # an absent pair's off is the own
+    return out[:, 2 * f], q0, out[:, [*range(f), *range(2 * f + 1, values.shape[1])]]
 
 
 def _forced_link_slices(
@@ -331,10 +393,11 @@ def _forced_link_slices(
     another one, and q0[k] and q1[k] are that block, symmetric with a unit
     diagonal, with the link on pairs[rows[k]] at probability 0 and 1, whether
     `g` holds it or not.  Each component is enumerated once for Q and all its
-    pairs (see :func:`_forced_block_sums`); candidate links do not count
-    toward `max_edges`.  A link joining i's component A to j's B sets
-    q1[u, v] = q[u, i] * q[j, v] for u in A and v in B, since the two sides
-    are independent; its q0 is one read-only block broadcast over the rows.
+    pairs, components of one shape in one stack (see :func:`_forced_block_sums`);
+    candidate links do not count toward `max_edges`.  A link joining i's
+    component A to j's B sets q1[u, v] = q[u, i] * q[j, v] for u in A and v
+    in B, since the two sides are independent; its q0 is one read-only block
+    broadcast over the rows.
     """
     blocks, position, links, index = _support_links(g, max_edges)
     groups: dict[tuple[int, int], list[int]] = {}  # (i's component, j's): rows of pairs
@@ -351,16 +414,25 @@ def _forced_link_slices(
                 forced[b].append(index[i, j])
             else:
                 extra[b].append((li, lj))
-    sums = [
-        _forced_block_sums(len(verts), edges, asked, absent) if edges else (np.ones((1, 1)),)
-        for verts, edges, asked, absent in zip(blocks, links, forced, extra)
-    ]
-    if len(blocks) == 1:  # one component: its block is Q
-        q = sums[0][0]
-    else:
-        q = np.zeros((g.n, g.n))
-        for verts, block in zip(blocks, sums):
-            q[np.ix_(verts, verts)] = block[0]
+    shapes: dict[tuple, list[int]] = {}  # components whose tables can share their steps
+    for b, edges in enumerate(links):
+        sure = tuple(k for k, (_, _, p) in enumerate(edges) if p == 1.0)
+        key = (len(blocks[b]), len(edges), sure, tuple(forced[b]), len(extra[b]))
+        shapes.setdefault(key, []).append(b)
+    sums: list[tuple[np.ndarray, ...]] = [()] * len(blocks)
+    owns = []  # each stack's components and their blocks
+    for (nverts, m, *_), members in shapes.items():
+        if m:
+            stack = _forced_block_sums(nverts, [links[b] for b in members], forced[members[0]],
+                                       [extra[b] for b in members])
+        else:  # isolated vertices
+            stack = (np.ones((len(members), 1, 1)),)
+        for k, b in enumerate(members):
+            sums[b] = tuple(part[k] for part in stack)
+        owns.append((members, stack[0]))
+    q = np.zeros((g.n, g.n))  # once the tables are gone
+    for members, own in owns:
+        graph._scatter(q, np.array([blocks[b] for b in members]), own)
 
     def grouped() -> Iterator[tuple[list[int], list[int], np.ndarray, np.ndarray]]:
         for b, c in sorted(groups, key=lambda bc: sum(len(blocks[k]) for k in set(bc))):

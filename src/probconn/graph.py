@@ -146,7 +146,9 @@ _SLICE_BYTES = 1 << 20
 def _merge(lab: np.ndarray, u: int, v: int, on: np.ndarray | None = None) -> None:
     """Join u's and v's components in the columns of the (n, states) labels `lab`
     where `on` holds (every column if it is None): the larger of their two labels
-    is replaced by the smaller.
+    is replaced by the smaller.  On the (n, members, states) labels of a stack, u
+    and v are (vertex of each member, member) index pairs, so each member joins
+    its own two vertices.
 
     Branch free: every entry equal to the larger label drops by the gap to the
     smaller one, a gap of 0 where `on` fails or u and v already share a label,
@@ -213,10 +215,18 @@ def _search(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[list[int]], 
     return components, [v for v in range(n) if is_cut[v]]
 
 
-def _pattern_blocks(linked: np.ndarray) -> list[list[int]]:
+def _pattern_blocks(linked: np.ndarray, within: list[list[int]] | None = None) -> list[list[int]]:
     """Vertex blocks chained together by the True entries above the diagonal,
-    ordered like the components of :func:`_search`."""
+    ordered like the components of :func:`_search`.  `within` are blocks in
+    that order, such as support components: when `linked` is exactly their
+    blocks of True, they are returned and nothing is searched."""
     n = linked.shape[0]
+    if within is not None:
+        label = np.empty(n, np.intp)
+        for c, block in enumerate(within):
+            label[block] = c
+        if np.array_equal(linked, label[:, None] == label):
+            return within
     if np.count_nonzero(linked) - np.count_nonzero(linked.diagonal()) == n * (n - 1):
         return [list(range(n))]  # every pair linked both ways: one block, no search
     ends = np.arange(n)

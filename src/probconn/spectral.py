@@ -86,7 +86,7 @@ def _check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
 
 
-def sym_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
+def sym_eig(matrix, blocks: list[list[int]] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a dense symmetric matrix, one LAPACK call per block size.
 
     The vertices are grouped into blocks by the nonzero off-diagonal
@@ -97,12 +97,16 @@ def sym_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors, also under a vertex permutation and when eigenvalues tie
     across blocks.
 
+    `blocks`, if given, must be those blocks as graph._pattern_blocks finds
+    them, so a caller that holds them saves the search.
+
     Raises ValueError for asymmetric or non-finite input, and LAPACK's
     np.linalg.LinAlgError if a block does not converge.
     """
     a = _square_symmetric(matrix)
     n = a.shape[0]
-    blocks = _pattern_blocks(a != 0.0)
+    if blocks is None:
+        blocks = _pattern_blocks(a != 0.0)
     if len(blocks) == 1:
         w, v = np.linalg.eigh(a)
     else:
@@ -141,6 +145,7 @@ def spectral_report(
     q,
     partition: list[list[int]],
     tolerance: float = 1e-9,
+    blocks: list[list[int]] | None = None,
 ) -> SpectralReport:
     """Full spectrum plus quality verdicts for a connectivity matrix.
 
@@ -149,14 +154,16 @@ def spectral_report(
     The spectrum is that of the matrix with them zeroed, and each block's
     largest eigenvalue comes from the same decomposition.  Positive
     semi-definiteness is judged as smallest eigenvalue >= -tolerance * n;
-    strict definiteness as > tolerance * n.
+    strict definiteness as > tolerance * n.  `blocks`, if given, are the
+    blocks of the zeroed matrix's nonzero pattern that :func:`sym_eig` would
+    find (those of `q` itself when its entries across `partition` are 0).
     """
     q = _square_symmetric(q)
     _check_tolerance(tolerance)
     n = q.shape[0]
     component_of = _check_partition(q, partition, tolerance)
     q[component_of[:, None] != component_of] = 0.0
-    w, vecs = sym_eig(q)
+    w, vecs = sym_eig(q, blocks)
     x = vecs[:, 0].copy()
     k = int(np.argmax(np.abs(x)))
     if x[k] < 0:

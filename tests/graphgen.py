@@ -71,3 +71,22 @@ def random_corner_graph(
         p = 1.0 if rng.random() < 0.7 else 0.0
         edges.append((pairs[c][0], pairs[c][1], p))
     return build_graph(n, edges)
+
+
+def random_clusters(
+    rng: np.random.Generator, k: int, size: int = 8, links: int = 11
+) -> ProbGraph:
+    """k disjoint connected clusters of `size` vertices and `links` links each, every one
+    a random spanning tree plus extras, with vertex labels shuffled across clusters."""
+    label = rng.permutation(k * size)
+    edges = []
+    for c in range(k):
+        order = rng.permutation(size)
+        chosen = {tuple(sorted((int(order[pos]), int(order[rng.integers(0, pos)]))))
+                  for pos in range(1, size)}
+        free = [pr for pr in _pairs(size) if pr not in chosen]
+        chosen.update(free[f] for f in rng.choice(len(free), size=links - size + 1, replace=False))
+        for i, j in sorted(chosen):
+            a, b = int(label[c * size + i]), int(label[c * size + j])
+            edges.append((a, b, float(rng.uniform(0.3, 0.95))))
+    return build_graph(k * size, edges)

@@ -9,7 +9,11 @@ from probconn import (
     exact_connectivity,
     find_critical_vertices,
     mc_connectivity,
+    spectral_report,
+    support_components,
+    sym_eig,
 )
+from probconn.graph import _pattern_blocks
 from graphgen import random_connected_graph, random_graph
 from oracles import critical_by_loops, relay_bounds
 
@@ -156,6 +160,37 @@ class TestFindCriticalVertices:
 
 
 TOLERANCES = (0.0, 1e-12, 1e-9, 1e-3)
+
+
+class TestBlocksPassedIn:
+    """The blocks of q's nonzero pattern, found once and passed in, change no result."""
+
+    # a triangle, a path 3 - 7 - 8 through critical vertex 7 (3 - 7 sure, so the estimate
+    # too has q_38 = q_37 * q_78), a path whose link (5, 6) is rare and an isolated vertex:
+    # in 400 samples (5, 6) never comes up, so the estimate's pattern splits {4, 5, 6}
+    GRAPH = build_graph(10, [(0, 1, 0.5), (1, 2, 0.6), (0, 2, 0.7), (3, 7, 1.0), (7, 8, 0.9),
+                             (4, 5, 0.8), (5, 6, 1e-9)])
+
+    @pytest.mark.parametrize("engine", ["exact", "mc"])
+    def test_same_results_with_and_without_the_blocks(self, engine):
+        g = self.GRAPH
+        q = exact_connectivity(g) if engine == "exact" else mc_connectivity(g, 400, 1).q_hat
+        partition = support_components(g)
+        blocks = _pattern_blocks(q != 0.0, partition)
+        assert blocks == _pattern_blocks(q != 0.0)
+        assert (blocks == partition) == (engine == "exact")
+        for found, searched in [(sym_eig(q, blocks), sym_eig(q)),
+                                (compute_bounds(adjacency_matrix(g), q, 1e-12, blocks),
+                                 compute_bounds(adjacency_matrix(g), q, 1e-12))]:
+            for a, b in zip(found if isinstance(found, tuple) else vars(found).values(),
+                            searched if isinstance(searched, tuple) else vars(searched).values()):
+                assert np.array_equal(a, b)
+        report = spectral_report(q, partition, 1e-9, blocks)
+        expected = spectral_report(q, partition, 1e-9)
+        for field, value in vars(report).items():
+            assert np.array_equal(value, getattr(expected, field))
+        found = find_critical_vertices(q, 1e-9, engine == "mc", blocks)
+        assert found == find_critical_vertices(q, 1e-9, engine == "mc") and found
 
 
 def _clustered_cases(rng):

@@ -23,7 +23,8 @@ from probconn import (
 )
 import probconn.cli as cli
 from probconn.cli import run_command
-from graphgen import random_graph
+from probconn import graph as graph_module
+from graphgen import random_clusters, random_graph
 
 
 class TestParseGraphFile:
@@ -384,6 +385,48 @@ class TestRunCommand:
         assert json.loads(outputs["compute", 20, "1"])["q"][0][9] > 0
         assert len(json.loads(outputs["rank", 20, "1"])["ranking"]) == 45
         assert len(json.loads(outputs["rank", 22, "1"])["ranking"]) == 45
+
+    def test_a_compute_job_searches_the_whole_graph_twice(self, capsys, tmp_path, monkeypatch):
+        # the exact engine finds the support components and the CLI finds them once more;
+        # q's nonzero pattern is exactly their blocks, so spectrum, bounds and critical
+        # vertices take those blocks and search nothing (each critical vertex's sides are
+        # still searched inside its block)
+        g = random_clusters(np.random.default_rng(3), 6)
+        path = tmp_path / "clusters.pg"
+        path.write_text(format_graph_file(g))
+        sizes = []
+        search = graph_module._search
+        monkeypatch.setattr(graph_module, "_search",
+                            lambda n, pairs: sizes.append(n) or search(n, pairs))
+        code, out, _ = _run(capsys, ["compute", "--input", str(path)])
+        assert code == 0 and json.loads(out)["critical_vertices"]
+        assert sizes.count(g.n) == 2 and set(sizes) == {g.n, 8}
+
+    @pytest.mark.parametrize("argv", [["compute"], ["mc", "--samples", "400", "--seed", "1"]])
+    def test_analyses_get_the_blocks_of_the_matrix_s_own_pattern(self, capsys, tmp_path,
+                                                                  monkeypatch, argv):
+        # in 400 samples the link (5, 6) never comes up, so the estimate's pattern splits the
+        # support component {4, 5, 6}; the blocks handed on are those each analysis would find
+        g = build_graph(10, [(0, 1, 0.5), (1, 2, 0.6), (0, 2, 0.7), (3, 7, 1.0), (7, 8, 0.9),
+                             (4, 5, 0.8), (5, 6, 1e-9)])
+        path = tmp_path / "split.pg"
+        path.write_text(format_graph_file(g))
+        handed = []
+
+        def spy(analysis, q_at):
+            def spied(*args, **kwargs):
+                handed.append((args[q_at], kwargs.get("blocks", args[-1])))
+                return analysis(*args, **kwargs)
+            return spied
+
+        for name, q_at in [("spectral_report", 0), ("compute_bounds", 1),
+                           ("find_critical_vertices", 0)]:
+            monkeypatch.setattr(cli, name, spy(getattr(cli, name), q_at))
+        code, _, _ = _run(capsys, [*argv, "--input", str(path)])
+        assert code == 0 and len(handed) == (3 if argv[0] == "compute" else 1)
+        for q, blocks in handed:
+            assert blocks == graph_module._pattern_blocks(q != 0.0)
+        assert (blocks == [[0, 1, 2], [3, 7, 8], [4, 5], [6], [9]]) == (argv[0] == "mc")
 
     def test_document_layout(self, capsys, triangle_file, path4_file, monkeypatch):
         head = ["schema_version", "tool_version", "command", "n", "m"]

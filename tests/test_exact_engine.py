@@ -20,7 +20,7 @@ from probconn import (
 from probconn import exact as exact_module
 from probconn import graph as graph_module
 from probconn.exact import _forced_link_slices
-from graphgen import random_graph
+from graphgen import random_clusters, random_graph
 from oracles import (
     _bfs_labels as bfs_labels,
     chord_path_connectivity,
@@ -228,6 +228,76 @@ class TestStreamedEnumeration:
         sizes.clear()
         rank_improvements(M20, include_absent=True)
         assert sizes == live
+
+
+
+class TestStackedComponents:
+    """Support components of one shape share one partition table, bit for bit."""
+
+    @staticmethod
+    def _spy_tables(monkeypatch):
+        tables = []  # the components each table holds
+        stacked, prefix = exact_module._stacked_labels, exact_module._prefix_labels
+
+        def spy_stacked(n, eu, *args):
+            tables.append(len(eu))
+            return stacked(n, eu, *args)
+
+        def spy_prefix(*args):
+            tables.append(1)
+            return prefix(*args)
+
+        monkeypatch.setattr(exact_module, "_stacked_labels", spy_stacked)
+        monkeypatch.setattr(exact_module, "_prefix_labels", spy_prefix)
+        return tables
+
+    @staticmethod
+    def _blocks_alone(g, q):
+        for verts in support_components(g):
+            local = {v: k for k, v in enumerate(verts)}
+            alone = build_graph(len(verts),
+                                [(local[i], local[j], p) for i, j, p in g.edges if i in local])
+            assert np.array_equal(q[np.ix_(verts, verts)], exact_connectivity(alone))
+
+    def test_equal_clusters_share_one_table(self, monkeypatch):
+        # 13 clusters of 8 vertices and 11 links, each its own links: one table, every block
+        # what it is alone
+        g = random_clusters(np.random.default_rng(7), 13)
+        tables = self._spy_tables(monkeypatch)
+        q = exact_connectivity(g)
+        assert tables == [13]
+        tables.clear()
+        self._blocks_alone(g, q)
+        assert tables == [1] * 13
+
+    def test_unequal_components_take_a_table_each(self, monkeypatch):
+        # a triangle, a path of 3 links, a triangle with a sure link, a 2-link path and
+        # an isolated vertex
+        g = build_graph(14, [(0, 1, 0.5), (1, 2, 0.6), (0, 2, 0.7), (3, 4, 0.5), (4, 5, 0.6),
+                             (5, 6, 0.7), (7, 8, 1.0), (8, 9, 0.6), (7, 9, 0.7), (10, 11, 0.4),
+                             (11, 12, 0.3)])
+        tables = self._spy_tables(monkeypatch)
+        self._blocks_alone(g, exact_connectivity(g))
+        assert tables == [1] * 4 + [1] * 4
+
+    def test_tables_that_cannot_hold_every_state_do_not_stack(self, monkeypatch):
+        # two K6 (2^15 states each, more than a slice holds): each walks its own table
+        k6 = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        g = build_graph(12, [(6 * c + i, 6 * c + j, 0.3 + 0.04 * k + 0.01 * c)
+                             for c in range(2) for k, (i, j) in enumerate(k6)])
+        tables = self._spy_tables(monkeypatch)
+        q = exact_connectivity(g)
+        assert tables == [1, 1]
+        self._blocks_alone(g, q)
+
+    def test_stacks_split_into_parts_of_one_slice(self, monkeypatch):
+        # a member's table holds 2^11 rows of 8 label bytes and 8 weight bytes: 32 to a slice
+        g = random_clusters(np.random.default_rng(8), 40)
+        tables = self._spy_tables(monkeypatch)
+        q = exact_connectivity(g)
+        assert tables == [32, 8]
+        self._blocks_alone(g, q)
+        assert _traced_peak(lambda: exact_connectivity(g)) < 2 << 20
 
 
 # a path 0 - 1 - ... - 16 with the chord (0, 2): one component of 17 vertices, whose

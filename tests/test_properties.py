@@ -22,13 +22,16 @@ from probconn import (
     conditional_connectivity,
     exact_connectivity,
     format_graph_file,
+    lambda_derivative,
     mc_connectivity,
     otimes,
     parse_graph_file,
+    rank_improvements,
     support_components,
     to_json,
     walk_probabilities,
 )
+from probconn import exact as exact_module
 from probconn import graph as graph_module
 from probconn import montecarlo
 from probconn.exact import _forced_link_slices, _link_order
@@ -217,6 +220,96 @@ def test_results_do_not_depend_on_the_slice_size(g, seed):
         assert np.array_equal(est.std_err, runs[0][3].std_err)
 
 
+@st.composite
+def unions(draw):
+    """A disjoint union of small connected components, several copies of each drawn
+    shape (vertices, links, which links are sure), each copy with its own link
+    probabilities and, if it has no sure link, maybe its vertices renamed, so that its
+    links differ; p = 0 links inside and across components, isolated vertices, and all
+    vertices shuffled."""
+    parts: list[tuple[int, list[tuple[int, int, float]]]] = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(2, 4))
+        pairs = list(itertools.combinations(range(n), 2))
+        chords = [(i, j) for i, j in pairs if j - i > 1]
+        links = sorted([(k, k + 1) for k in range(n - 1)]
+                       + (draw(st.lists(st.sampled_from(chords), unique=True)) if chords else []))
+        sure = draw(st.sets(st.sampled_from(range(len(links))), max_size=2))
+        for _ in range(draw(st.integers(1, 7))):
+            name = draw(st.permutations(range(n))) if not sure and draw(st.booleans()) else range(n)
+            probs = [1.0 if k in sure else draw(st.floats(0.05, 0.95)) for k in range(len(links))]
+            absent = [pair for pair in pairs if pair not in links][: draw(st.integers(0, 1))]
+            parts.append((n, [(name[i], name[j], p) for (i, j), p in zip(links, probs)]
+                             + [(name[i], name[j], 0.0) for i, j in absent]))
+    parts += [(1, [])] * draw(st.integers(0, 3))
+    total = sum(n for n, _ in parts)
+    label = draw(st.permutations(range(total)))
+    edges, start = [], 0
+    for n, links in parts:
+        edges += [(label[start + i], label[start + j], p) for i, j, p in links]
+        start += n
+    if total > 2 and draw(st.booleans()):  # a p = 0 link, maybe across components
+        i, j = draw(st.lists(st.integers(0, total - 1), min_size=2, max_size=2, unique=True))
+        if all({i, j} != {u, v} for u, v, _ in edges):
+            edges.append((i, j, 0.0))
+    return build_graph(total, edges)
+
+
+def _alone(g, verts):
+    """The subgraph of `g` on `verts` (ascending), renamed 0 .. len(verts) - 1 in order."""
+    local = {v: k for k, v in enumerate(verts)}
+    return build_graph(len(verts), [(local[i], local[j], p) for i, j, p in g.edges
+                                    if i in local and j in local])
+
+
+_FORCED_BLOCK_SUMS = exact_module._forced_block_sums
+
+
+def _one_at_a_time(nverts, links, forced, extra):
+    """exact._forced_block_sums on each member of a stack alone, stacked afterwards."""
+    alone = [_FORCED_BLOCK_SUMS(nverts, [edges], forced, [absent])
+             for edges, absent in zip(links, extra)]
+    return tuple(np.concatenate(parts) for parts in zip(*alone))
+
+
+# three components of one shape whose tables a 600-byte slice cannot hold (each walks
+# in runs), beside an isolated vertex
+FOUR_VERTICES_FIVE_LINKS = [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)]
+THREE_ALIKE = build_graph(13, [(4 * c + i, 4 * c + j, 0.3 + 0.05 * (c + k)) for c in range(3)
+                               for k, (i, j) in enumerate(FOUR_VERTICES_FIVE_LINKS)])
+
+
+@_settings(40)
+@given(unions(), st.sampled_from([600, 2000, graph_module._SLICE_BYTES]), st.integers(0, 2**16))
+@example(THREE_ALIKE, 600, 0)
+def test_stacking_never_changes_a_bit(g, size, pick):
+    # components of one shape share a partition table, in parts of what the slice holds,
+    # when it holds all their states; each must get what it gets alone, bit for bit
+    inside = [k for k, (i, j, _) in enumerate(g.edges)
+              if any(i in verts and j in verts for verts in support_components(g))]
+    edges = sorted({inside[pick % len(inside)], inside[pick // 7 % len(inside)]}) if inside else []
+    with patch.object(graph_module, "_SLICE_BYTES", size):
+        q = exact_connectivity(g)
+        slices = [affine_slice(g, e) for e in edges]
+        derivatives = [lambda_derivative(g, e) for e in edges]
+        ranking = rank_improvements(g, include_absent=True)
+        for verts in support_components(g):
+            alone = _alone(g, verts)
+            block = np.ix_(verts, verts)
+            assert np.array_equal(q[block], exact_connectivity(alone))
+            for e, slc in zip(edges, slices):
+                i, j, _ = g.edges[e]
+                if i in verts:
+                    own = affine_slice(alone, alone.index_of(verts.index(i), verts.index(j)))
+                    assert np.array_equal(slc.q0[block], own.q0)
+                    assert np.array_equal(slc.q1[block], own.q1)
+        with patch.object(exact_module, "_forced_block_sums", _one_at_a_time):
+            assert derivatives == [lambda_derivative(g, e) for e in edges]
+            alone_ranking = rank_improvements(g, include_absent=True)
+    assert ranking.entries == alone_ranking.entries
+    assert ranking.lambda_max == alone_ranking.lambda_max
+
+
 @_settings(60)
 @given(graphs(), st.integers(0, 2**64 - 1), st.integers(1, 300),
        st.one_of(st.integers(1, 1 << 12), st.integers(1, graph_module._SLICE_BYTES)))
@@ -289,6 +382,14 @@ def test_search_matches_bfs_oracle(g):
     rows, cols = np.nonzero(np.triu(linked, 1))
     assert _search(g.n, zip(rows.tolist(), cols.tolist())) == (components, cuts)
     assert _pattern_blocks(linked) == components
+    # blocks known to hold every entry are the answer when they are all True, else a hint
+    assert _pattern_blocks(linked, components) == components
+    label = np.empty(g.n, dtype=int)
+    for c, verts in enumerate(components):
+        label[verts] = c
+    closure = label[:, None] == label
+    assert _pattern_blocks(closure, components) is components
+    assert _pattern_blocks(closure) == components
 
 
 @st.composite

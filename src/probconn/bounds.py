@@ -194,8 +194,12 @@ def _split(
     block.
     """
     i0, j0 = witness
-    local = verts.index(i0)
-    side = next(c for c in _pattern_blocks(usable & (gap > tolerance)) if local in c)
+    linked = usable & (gap > tolerance)
+    linked |= linked.T | np.eye(len(verts), dtype=bool)  # usable holds pairs l < m only
+    reached, count = linked[verts.index(i0)], 1  # i0 and its neighbours
+    while (grown := np.count_nonzero(reached)) > count:  # breadth first from i0
+        count, reached = grown, reached @ linked
+    side = np.flatnonzero(reached).tolist()
     v1 = [verts[c] for c in side]
     if j0 in v1:
         return None, []

@@ -17,10 +17,11 @@ products in a fixed order: bit-identical output.  Enumeration runs inside
 each support component; entries across components are exactly zero by
 construction.  Components of one shape (vertex count, number of links with
 p > 0, which of those are sure or asked about, number of absent pairs asked
-about) whose tables hold all 2^m states form a stack: one table with a
-member axis, every member's t-th link joined by one merge, each member's
-pair sums still its own gemvs, so every block is bit for bit what its
-component gets alone (:func:`_stacked_labels`).
+about) go to :func:`_prefix_labels` together, and its tables have a member
+axis: when a table holds all 2^m states, members stack, every member's t-th
+link joined by one merge; else each is a stack of one.  Each member's pair
+sums are still its own gemvs, so every block is bit for bit what its
+component gets alone.
 
 There is one pass, :func:`_forced_link_slices`: it yields each component's
 block and, grouped by the block they change, that block as a symmetric
@@ -36,7 +37,7 @@ enforces a per-component edge limit.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -196,105 +197,94 @@ def _link_order(n: int, eu: list[int], ev: list[int]) -> tuple[list[int], list[b
 
 def _prefix_labels(
     n: int, eu: np.ndarray, ev: np.ndarray, on: np.ndarray, off: np.ndarray, state_bytes: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The partitions of all 2^m edge states, as label rows with summed weights, in runs.
-
-    Edge k weighs a state by on[k, c] or off[k, c] in weight column c as it is
-    on or off; the (m, c) factors sum to 1 in each entry.  Yields (lab, w,
-    factor) per run: column r of the (n, rows) labels `lab` labels each vertex
-    with the smallest vertex of its component and stands for states of summed
-    weights w[r] * factor.  Edges join one table of at most _SLICE_BYTES at
-    `state_bytes` a row.  A sure edge, whose off factor is 0 in every column,
-    joins every row in place; any other doubles the table, every row an off
-    row and an on row.  If the table cannot hold all 2^m states, the edges
-    join breadth first (:func:`_link_order`), an edge that closes a cycle
-    splits only the rows in which its ends are apart, and a full table merges
-    its equal rows.  The edges that still do not fit are walked depth first,
-    one run per state of theirs in ascending order (in join order), about one
-    merge a run; an off branch that weighs 0 in every column is not walked, so
-    of the sure edges forced off in their own columns at most one is off in a
-    run.  Runs share arrays: do not write to them.
-    """
-    sure = (off == 0).all(axis=1).tolist()  # off is 0 in every column
-    m, cap = len(eu), min(1 << len(eu), max(1, graph._SLICE_BYTES // state_bytes))  # the table's rows
-    eu, ev, closes = eu.tolist(), ev.tolist(), [False] * len(eu)
-    if 1 << m > cap:  # cycles that close early let the table merge before it walks links
-        order, closes = _link_order(n, eu, ev)
-        eu, ev, sure = ([column[k] for k in order] for column in (eu, ev, sure))
-        on, off = on[order], off[order]
-    lab = np.empty((n, cap), dtype=np.min_scalar_type(n))
-    w = np.empty((cap, on.shape[1]))
-    lab[:, 0], w[0], rows = np.arange(n), 1.0, 1
-    t, since = 0, 0  # edges since .. t - 1 joined after the last merge
-    while t < m:
-        u, v = eu[t], ev[t]
-        if sure[t]:
-            _merge(lab[:, :rows], u, v)
-            w[:rows] *= on[t]
-            t += 1
-            continue
-        if closes[t]:  # a row whose ends share a label stays as it is
-            split = np.flatnonzero(lab[u, :rows] != lab[v, :rows])
-            src = lab[:, :rows].take(split, axis=1)
-        else:
-            split, src = slice(0, rows), lab[:, :rows]
-        grow = src.shape[1]
-        if rows + grow > cap:
-            # a merge costs about four runs of one weight column: walk if the rest costs no more
-            if w[0].size << m - t <= 4 or not any(closes[since:t]):  # or no two rows can be equal
-                break
-            rows, since = _merge_rows(lab[:, :rows], w[:rows]), t
-            continue
-        lab[:, rows : rows + grow] = src
-        _merge(lab[:, rows : rows + grow], u, v)
-        np.multiply(w[split], on[t], out=w[rows : rows + grow])
-        w[split] *= off[t]
-        rows, t = rows + grow, t + 1
-    stack = [(m, lab[:, :rows], np.ones(on.shape[1]))]  # (edges to decide, labels, factor)
-    while stack:
-        k, run, factor = stack.pop()
-        if k > t:
-            joined = run.copy()
-            _merge(joined, eu[k - 1], ev[k - 1])
-            stack.append((k - 1, joined, factor * on[k - 1]))
-            off_factor = factor * off[k - 1]
-            if off_factor.any():  # states that weigh 0 in every column add nothing
-                stack.append((k - 1, run, off_factor))
-        else:
-            yield run, w[:rows], factor
-
-
-def _stacked_labels(
-    n: int, eu: np.ndarray, ev: np.ndarray, on: np.ndarray, off: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The partitions of all 2^m edge states of B components of one shape at once.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The partitions of all 2^m edge states of B components of one shape, as
+    label rows with summed weights, in runs.
 
     Member b's edge k joins (eu[b, k], ev[b, k]) and weighs a state by on[b,
-    k, c] or off[b, k, c]; edges k that are sure (off 0) in one member are
-    sure in all.  Returns the (n, B, rows) labels and (B, rows, c) weights of
-    one table, edge k of every member joined by one merge, in index order as
-    :func:`_prefix_labels` joins them when its table holds every state: member
-    b's labels lab[:, b] and weights w[b] are row for row what its own table
-    holds.
+    k, c] or off[b, k, c] in weight column c as it is on or off; the (B, m,
+    c) factors sum to 1 in each entry, and an edge sure (off 0 in every
+    column) in one member is sure in all.  Yields (lo, lab, w, factor) per
+    run of a table of members lo, lo + 1, ...: column r of member b's (n,
+    rows) labels lab[:, b - lo] labels each vertex with the smallest vertex
+    of its component and stands for states of summed weights w[b - lo, r] *
+    factor.  A member's table holds at most _SLICE_BYTES at `state_bytes` a
+    row.  A sure edge joins every row in place; any other doubles the table,
+    every row an off row and an on row.  If a table holds all 2^m states,
+    members stack: as many as one slice holds at their labels' and weights'
+    bytes a row share a table and one run, edge k of each joined by one
+    merge, in index order.  Else each member has a table of its own, a stack
+    of one worked without its member axis, so that ints index it: the edges
+    join breadth first (:func:`_link_order`), an edge that closes a cycle
+    splits only the rows in which its ends are apart, and a full table
+    merges its equal rows.  The edges that still do not fit are walked depth
+    first, one run per state of theirs in ascending order (in join order),
+    about one merge a run; an off branch that weighs 0 in every column is
+    not walked, so of the sure edges forced off in their own columns at most
+    one is off in a run.  Runs share arrays: do not write to them.
     """
     members, m = eu.shape
-    sure = (off == 0).all(axis=(0, 2)).tolist()
-    member = np.arange(members)
-    lab = np.empty((n, members, 1 << (m - sum(sure))), dtype=np.min_scalar_type(n))
-    w = np.empty((members, lab.shape[2], on.shape[2]))
-    lab[:, :, 0], w[:, 0], rows = np.arange(n)[:, None], 1.0, 1
-    for k in range(m):
-        u, v = (eu[:, k], member), (ev[:, k], member)  # each member's ends, a label row each
-        if sure[k]:
-            _merge(lab[:, :, :rows], u, v)
-            w[:, :rows] *= on[:, k, None]
-            continue
-        lab[:, :, rows : 2 * rows] = lab[:, :, :rows]
-        _merge(lab[:, :, rows : 2 * rows], u, v)
-        np.multiply(w[:, :rows], on[:, k, None], out=w[:, rows : 2 * rows])
-        w[:, :rows] *= off[:, k, None]
-        rows *= 2
-    return lab, w
+    sure = (off == 0).all(axis=(0, 2)).tolist()  # off is 0 in every column
+    cap = min(1 << m, max(1, graph._SLICE_BYTES // state_bytes))  # a member's rows
+    size = 1  # members to a table
+    if cap == 1 << m:  # the table holds all 2^m states
+        size = max(1, graph._SLICE_BYTES // ((1 << m) * (n + 8 * on.shape[2])))
+    for lo in range(0, members, size):
+        part = slice(lo, lo + size)
+        order, closes, stacked = range(m), [False] * m, len(eu[part])
+        lab = np.empty((n, stacked, min(cap, 1 << m - sum(sure))), dtype=np.min_scalar_type(n))
+        w = np.empty((stacked, lab.shape[2], on.shape[2]))
+        lab[:, :, 0], w[:, 0], rows = np.arange(n)[:, None], 1.0, 1
+        if stacked > 1:  # each member's ends, a label row each, and edge k's factors in on[k]
+            member = np.arange(stacked)
+            us, vs = ([(column, member) for column in ends[part].T] for ends in (eu, ev))
+            table, weights = lab, w
+            part_on, part_off = (factors[part, :, None].swapaxes(0, 1) for factors in (on, off))
+        else:  # the only table ordered, merged or walked: no member axis, so ints index it
+            us, vs = eu[lo].tolist(), ev[lo].tolist()
+            table, weights, part_on, part_off = lab[:, 0], w[0], on[lo], off[lo]
+            if 1 << m > cap:  # cycles that close early let the table merge before it walks links
+                order, closes = _link_order(n, us, vs)
+                us, vs = ([ends[k] for k in order] for ends in (us, vs))
+                part_on, part_off = part_on[order], part_off[order]
+        joins = [sure[k] for k in order]
+        t, since = 0, 0  # edges since .. t - 1 joined after the last merge
+        while t < m:
+            u, v = us[t], vs[t]
+            if joins[t]:
+                _merge(table[..., :rows], u, v)
+                weights[..., :rows, :] *= part_on[t]
+                t += 1
+                continue
+            if closes[t]:  # a row whose ends share a label stays as it is
+                split = np.flatnonzero(table[u, :rows] != table[v, :rows])
+                src = table.take(split, axis=1)
+            else:
+                split, src = slice(0, rows), table[..., :rows]
+            grow = src.shape[-1]
+            if rows + grow > cap:
+                # a merge costs about four runs of one weight column: walk if the rest costs no more
+                if on.shape[2] << m - t <= 4 or not any(closes[since:t]):  # or no two rows can be equal
+                    break
+                rows, since = _merge_rows(table[:, :rows], weights[:rows]), t
+                continue
+            table[..., rows : rows + grow] = src
+            _merge(table[..., rows : rows + grow], u, v)
+            np.multiply(weights[..., split, :], part_on[t], out=weights[..., rows : rows + grow, :])
+            weights[..., split, :] *= part_off[t]
+            rows, t = rows + grow, t + 1
+        runs = [(m, table[..., :rows], np.ones(on.shape[2]))]  # (edges to decide, labels, factor)
+        while runs:
+            k, run, factor = runs.pop()
+            if k > t:
+                joined = run.copy()
+                _merge(joined, us[k - 1], vs[k - 1])
+                runs.append((k - 1, joined, factor * part_on[k - 1]))
+                off_factor = factor * part_off[k - 1]
+                if off_factor.any():  # states that weigh 0 in every column add nothing
+                    runs.append((k - 1, run, off_factor))
+            else:
+                yield lo, run.reshape(n, stacked, -1), w[:, :rows], factor
 
 
 def _forced_block_sums(
@@ -319,15 +309,14 @@ def _forced_block_sums(
     without division, so a p = 1 link works: forced, it doubles the table like
     any other, else it joins every row in place.  Each of the 2f + 1 columns
     (link forced[r] forced on, forced off, the last as drawn) is one weight
-    column of the table.  When a table holds all 2^m states of a member,
-    members share one (:func:`_stacked_labels`), as many as one _SLICE_BYTES
-    slice holds at their labels' and weights' bytes a row; else a member
-    has its own (:func:`_prefix_labels`), which may walk in runs.  Each
-    member's runs are a gemv a column, over the pairs of
-    np.triu_indices(nverts, 1), whose sums go to both triangles: every
-    member's blocks are bit for bit what it gets alone.  A sure link on (x,
-    y) is x's and y's labels merged in a copy of each run's, weighed like the
-    own column, or the run's own sums when x and y share a label in every row.
+    column of the tables of :func:`_prefix_labels`, which stacks the members
+    when a table holds all 2^m states.  Each member's runs are a gemv a
+    column over its own labels, over the pairs of np.triu_indices(nverts,
+    1), whose sums go to both triangles: every member's blocks are bit for
+    bit what it gets alone, in a stack or as a stack of one.  A sure link on
+    (x, y) is x's and y's labels merged in a copy of each run's, weighed like
+    the own column, or the run's own sums when x and y share a label in every
+    row.
     """
     members, m, f = len(links), len(links[0]), len(forced)
     eu, ev, probs = (np.array(column) for column in zip(*(zip(*edges) for edges in links)))
@@ -339,25 +328,12 @@ def _forced_block_sums(
     on = probs[:, :, None] * keep + fixed  # [b, k]: member b's link k per column, exactly
     off = 1.0 - on  # the last column as drawn
     state_bytes = 12 * len(pair_i) + 16 * f + 24 + nverts * (m + 2)  # indicators, table, walk
-    size = 1
-    if (1 << m) * state_bytes <= graph._SLICE_BYTES:  # the table holds all 2^m states
-        size = max(1, graph._SLICE_BYTES // ((1 << m) * (nverts + 8 * (2 * f + 1))))
-
-    def member_runs() -> Iterator[tuple[int, Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]]]:
-        for lo in range(0, members, size):
-            if lo + 1 == min(lo + size, members):  # a stack of one
-                yield lo, _prefix_labels(nverts, eu[lo], ev[lo], on[lo], off[lo], state_bytes)
-                continue
-            part = slice(lo, lo + size)
-            lab, w = _stacked_labels(nverts, eu[part], ev[part], on[part], off[part])
-            ones = np.ones(2 * f + 1)
-            yield from ((lo + k, [(lab[:, k], w[k], ones)]) for k in range(len(w)))
-
     # per member: the 2f + 1 columns' pair sums, then each absent pair's
     sums = np.zeros((members, 2 * f + 1 + len(extra[0]), len(pair_i)))
-    for b, runs in member_runs():
-        own, joined = sums[b, : 2 * f + 1], sums[b, 2 * f + 1 :]
-        for lab, w, factor in runs:
+    for lo, stack, weights, factor in _prefix_labels(nverts, eu, ev, on, off, state_bytes):
+        for k, w in enumerate(weights):
+            b, lab = lo + k, stack[:, k]
+            own, joined = sums[b, : 2 * f + 1], sums[b, 2 * f + 1 :]
             # one matrix-vector product per column: a gemm's sums vary with the BLAS thread count
             run = np.matmul(lab[pair_i] == lab[pair_j], w.T[:, :, None])[:, :, 0] * factor[:, None]
             own += run

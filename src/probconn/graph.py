@@ -147,8 +147,9 @@ def _merge(lab: np.ndarray, u: int, v: int, on: np.ndarray | None = None) -> Non
     """Join u's and v's components in the columns of the (n, states) labels `lab`
     where `on` holds (every column if it is None): the larger of their two labels
     is replaced by the smaller.  On the (n, members, states) labels of a stack, u
-    and v are (vertex of each member, member) index pairs, so each member joins
-    its own two vertices.
+    and v are index pairs (vertex of each member, member), so each member joins
+    its own two vertices; a lone member's labels keep no member axis, and u and v
+    are ints, which index faster than arrays.
 
     Branch free: every entry equal to the larger label drops by the gap to the
     smaller one, a gap of 0 where `on` fails or u and v already share a label,

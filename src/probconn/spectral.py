@@ -16,6 +16,7 @@ input with ValueError.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,15 +108,13 @@ def sym_eig(matrix, blocks: list[list[int]] | None = None) -> tuple[np.ndarray, 
     n = a.shape[0]
     if blocks is None:
         blocks = _pattern_blocks(a != 0.0)
-    if len(blocks) == 1:
-        w, v = np.linalg.eigh(a)
-    else:
-        w = np.empty(n)
-        v = np.zeros((n, n))
-        # a block's columns sit where block order puts them, so ties keep block order
-        cols = np.split(np.arange(n), np.cumsum([len(block) for block in blocks[:-1]]))
-        for idx, col in zip(_size_stacks(blocks), _size_stacks(cols)):
-            w[col], v[idx[:, :, None], col[:, None, :]] = np.linalg.eigh(_gather(a, idx))
+    w = np.empty(n)
+    v = np.zeros((n, n))
+    # a block's columns sit where block order puts them, so ties keep block order
+    starts = itertools.accumulate(map(len, blocks[:-1]), initial=0)
+    cols = [list(range(start, start + len(block))) for start, block in zip(starts, blocks)]
+    for idx, col in zip(_size_stacks(blocks), _size_stacks(cols)):
+        w[col], v[idx[:, :, None], col[:, None, :]] = np.linalg.eigh(_gather(a, idx))
     order = np.argsort(-w, kind="stable")
     return w[order], v[:, order]
 

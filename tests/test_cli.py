@@ -389,8 +389,8 @@ class TestRunCommand:
     def test_a_compute_job_searches_the_whole_graph_twice(self, capsys, tmp_path, monkeypatch):
         # the exact engine finds the support components and the CLI finds them once more;
         # q's nonzero pattern is exactly their blocks, so spectrum, bounds and critical
-        # vertices take those blocks and search nothing (each critical vertex's sides are
-        # still searched inside its block)
+        # vertices take those blocks and search nothing (each critical vertex's side is a
+        # boolean reachability inside its block, not a search)
         g = random_clusters(np.random.default_rng(3), 6)
         path = tmp_path / "clusters.pg"
         path.write_text(format_graph_file(g))
@@ -400,7 +400,7 @@ class TestRunCommand:
                             lambda n, pairs: sizes.append(n) or search(n, pairs))
         code, out, _ = _run(capsys, ["compute", "--input", str(path)])
         assert code == 0 and json.loads(out)["critical_vertices"]
-        assert sizes.count(g.n) == 2 and set(sizes) == {g.n, 8}
+        assert sizes == [g.n, g.n]
 
     @pytest.mark.parametrize("argv", [["compute"], ["mc", "--samples", "400", "--seed", "1"]])
     def test_analyses_get_the_blocks_of_the_matrix_s_own_pattern(self, capsys, tmp_path,

@@ -107,8 +107,9 @@ class TestStateWeights:
                     adj[v].append(u)
             expected.setdefault(tuple(bfs_labels(g.n, adj)), []).append(state_probability(g, bits))
         got: dict[tuple[int, ...], list[float]] = {}
-        for lab, w, factor in exact_module._prefix_labels(g.n, eu, ev, p[:, None], 1 - p[:, None], 1):
-            for column, weight in zip(lab.T.tolist(), w[:, 0] * factor[0]):
+        for _, lab, w, factor in exact_module._prefix_labels(
+                g.n, eu[None], ev[None], p[None, :, None], 1 - p[None, :, None], 1):
+            for column, weight in zip(lab[:, 0].T.tolist(), w[0, :, 0] * factor[0]):
                 got.setdefault(tuple(column), []).append(weight)
         for labels in got.keys() | expected.keys():
             assert math.fsum(got.get(labels, ())) == pytest.approx(
@@ -237,18 +238,17 @@ class TestStackedComponents:
     @staticmethod
     def _spy_tables(monkeypatch):
         tables = []  # the components each table holds
-        stacked, prefix = exact_module._stacked_labels, exact_module._prefix_labels
+        prefix = exact_module._prefix_labels
 
-        def spy_stacked(n, eu, *args):
-            tables.append(len(eu))
-            return stacked(n, eu, *args)
+        def spy(*args):
+            first = None  # the first member of the table whose runs come in
+            for lo, lab, *rest in prefix(*args):
+                if lo != first:
+                    first = lo
+                    tables.append(lab.shape[1])
+                yield lo, lab, *rest
 
-        def spy_prefix(*args):
-            tables.append(1)
-            return prefix(*args)
-
-        monkeypatch.setattr(exact_module, "_stacked_labels", spy_stacked)
-        monkeypatch.setattr(exact_module, "_prefix_labels", spy_prefix)
+        monkeypatch.setattr(exact_module, "_prefix_labels", spy)
         return tables
 
     @staticmethod
@@ -290,12 +290,19 @@ class TestStackedComponents:
         assert tables == [1, 1]
         self._blocks_alone(g, q)
 
-    def test_stacks_split_into_parts_of_one_slice(self, monkeypatch):
-        # a member's table holds 2^11 rows of 8 label bytes and 8 weight bytes: 32 to a slice
+    @pytest.mark.parametrize("slice_bytes, expected", [
+        (graph_module._SLICE_BYTES, [32, 8]),
+        (2**11 * 464, [29, 11]),  # every state at 464 bytes a row, 29 of 2^11 * 16 bytes
+        (2**11 * 464 - 1, [1] * 40),  # one byte short of every state: no stack
+    ], ids=["default", "every_state", "one_byte_short"])
+    def test_stacks_split_into_parts_of_one_slice(self, monkeypatch, slice_bytes, expected):
+        # a member's table holds 2^11 rows of 8 label bytes and 8 weight bytes: 32 to the
+        # default slice, as many as one slice holds when it holds all 2^11 states
         g = random_clusters(np.random.default_rng(8), 40)
+        monkeypatch.setattr(graph_module, "_SLICE_BYTES", slice_bytes)
         tables = self._spy_tables(monkeypatch)
         q = exact_connectivity(g)
-        assert tables == [32, 8]
+        assert tables == expected
         self._blocks_alone(g, q)
         assert _traced_peak(lambda: exact_connectivity(g)) < 2 << 20
 
@@ -361,7 +368,7 @@ class TestPartitionTable:
 
         def counted(*args):
             for run in prefix_labels(*args):
-                runs.append(run[0].shape[1])
+                runs.append(run[1].shape[2])
                 yield run
 
         monkeypatch.setattr(exact_module, "_prefix_labels", counted)
@@ -411,7 +418,7 @@ class TestPartitionTable:
 
         def capped(*args):
             for run in prefix_labels(*args):
-                runs.append(run[0].shape[1])
+                runs.append(run[1].shape[2])
                 assert len(runs) <= 128, "the walk visits states that weigh 0"
                 yield run
 
@@ -433,7 +440,7 @@ class TestPartitionTable:
         prefix_labels = exact_module._prefix_labels
 
         def spy(n, eu, ev, on, off, state_bytes):
-            widths.append(on.shape[1])
+            widths.append(on.shape[2])
             return prefix_labels(n, eu, ev, on, off, state_bytes)
 
         monkeypatch.setattr(exact_module, "_prefix_labels", spy)

@@ -241,7 +241,8 @@ class TestPrefixLabels:
             g = random_graph(rng, n_lo=1, n_hi=7, m_hi=9)
             eu, ev = np.array([(i, j) for i, j, _ in g.edges], dtype=int).reshape(g.m, 2).T
             p = rng.uniform(0.1, 0.9, g.m)
-            runs = list(exact_module._prefix_labels(g.n, eu, ev, p[:, None], 1 - p[:, None], 3))
+            runs = [(lab[:, 0], w[0], factor) for _, lab, w, factor in exact_module._prefix_labels(
+                g.n, eu[None], ev[None], p[None, :, None], 1 - p[None, :, None], 3)]
             order = _joined_order(g.n, eu, ev, runs)  # from here on links count in join order
             eu, ev, p = eu[order], ev[order], p[order]
             low = g.m - (len(runs).bit_length() - 1)  # the table's links
@@ -264,7 +265,8 @@ class TestPrefixLabels:
     def test_one_state_per_run_when_a_state_outgrows_the_slice(self):
         eu, ev, p = np.array([0, 1, 0]), np.array([1, 2, 2]), np.array([0.3, 0.6, 0.8])
         on = p[:, None]
-        runs = list(exact_module._prefix_labels(3, eu, ev, on, 1 - on, graph_module._SLICE_BYTES + 1))
+        runs = [(lab[:, 0], w[0], factor) for _, lab, w, factor in exact_module._prefix_labels(
+            3, eu[None], ev[None], on[None], 1 - on[None], graph_module._SLICE_BYTES + 1)]
         assert [lab.shape for lab, _, _ in runs] == [(3, 1)] * 8
         p = p[_joined_order(3, eu, ev, runs)]  # (0, 1), (0, 2), then (1, 2) closes the cycle
         for s, (_, w, factor) in enumerate(runs):  # ascending masks, one state's weight each

@@ -11,7 +11,9 @@ Exactly one header line ``n <count>`` must precede the ``e <i> <j> <p>``
 edge lines; vertex indices are 0-based.  Lines end at LF, CRLF or CR, the
 newlines that text-mode ``open()`` translates.  Blank lines are ignored.
 Counts, endpoints and probabilities are ASCII tokens without ``_``
-separators.  Parse errors carry the offending line number.
+separators.  The parser only reads this format; ``build_graph`` checks the
+graph, its header first, then each edge in file order, and an error names
+the first offending line of the file.
 
 JSON documents are written in the key order the document was built in,
 byte for byte as ``json.dumps`` writes them with every float array listed
@@ -30,13 +32,7 @@ import json
 
 import numpy as np
 
-from .graph import (
-    GraphValidationError,
-    ProbGraph,
-    _check_edge,
-    _check_vertex_count,
-    build_graph,
-)
+from .graph import GraphValidationError, ProbGraph, build_graph
 
 __all__ = ["GraphFileError", "format_graph_file", "parse_graph_file", "to_json"]
 
@@ -50,62 +46,61 @@ class GraphFileError(ValueError):
         super().__init__(f"{where}{message}")
 
 
-def _number(kind, token: str):
+def _number(kind, token: str, problem: str, line: int):
     """int or float of `token`, refusing the `_` separators and non-ASCII
-    digits that Python's own conversions accept."""
-    if "_" in token or not token.isascii():
-        raise ValueError(f"not an ASCII number: {token!r}")
-    return kind(token)
+    digits that Python's own conversions accept; else GraphFileError of
+    `problem`, formatted with the token."""
+    try:
+        if "_" not in token and token.isascii():
+            return kind(token)
+    except ValueError:
+        pass
+    raise GraphFileError(problem.format(token), line)
 
 
 def parse_graph_file(text: str) -> ProbGraph:
-    """Parse the text form of a graph into a validated ProbGraph."""
-    n: int | None = None
+    """Parse the text form of a graph into a validated ProbGraph: the format
+    up to its first malformed line, then build_graph checks what it read."""
+    n = fault = None
     edges: list[tuple[int, int, float]] = []
-    seen: set[tuple[int, int]] = set()
+    lines: list[int] = []  # the header's line, then each edge's
     # not str.splitlines(): it also breaks at form feeds, NEL and U+2028
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        tag = fields[0]
-        if tag == "n":
-            if n is not None:
-                raise GraphFileError("duplicate 'n' header", lineno)
-            if len(fields) != 2:
-                raise GraphFileError("header must be 'n <count>'", lineno)
-            try:
-                n = _number(int, fields[1])
-            except ValueError:
-                raise GraphFileError(f"vertex count {fields[1]!r} is not an integer", lineno)
-            try:
-                _check_vertex_count(n)
-            except GraphValidationError as exc:
-                raise GraphFileError(str(exc), lineno) from exc
-        elif tag == "e":
-            if n is None:
-                raise GraphFileError("edge line before the 'n' header", lineno)
-            if len(fields) != 4:
-                raise GraphFileError("edge line must be 'e <i> <j> <p>'", lineno)
-            try:
-                i, j = _number(int, fields[1]), _number(int, fields[2])
-            except ValueError:
-                raise GraphFileError("edge endpoints must be integers", lineno)
-            try:
-                p = _number(float, fields[3])
-            except ValueError:
-                raise GraphFileError(f"probability {fields[3]!r} is not a number", lineno)
-            try:
-                edges.append(_check_edge(n, i, j, p, seen))
-            except GraphValidationError as exc:
-                raise GraphFileError(str(exc), lineno) from exc
-        else:
-            raise GraphFileError(f"unknown directive {tag!r}", lineno)
+    rows = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    try:
+        for lineno, raw in enumerate(rows, start=1):
+            fields = raw.split()
+            if not fields or fields[0].startswith("#"):
+                continue
+            if fields[0] == "n":
+                if n is not None:
+                    raise GraphFileError("duplicate 'n' header", lineno)
+                if len(fields) != 2:
+                    raise GraphFileError("header must be 'n <count>'", lineno)
+                n = _number(int, fields[1], "vertex count {!r} is not an integer", lineno)
+            elif fields[0] == "e":
+                if n is None:
+                    raise GraphFileError("edge line before the 'n' header", lineno)
+                if len(fields) != 4:
+                    raise GraphFileError("edge line must be 'e <i> <j> <p>'", lineno)
+                i = _number(int, fields[1], "edge endpoints must be integers", lineno)
+                j = _number(int, fields[2], "edge endpoints must be integers", lineno)
+                p = _number(float, fields[3], "probability {!r} is not a number", lineno)
+                edges.append((i, j, p))
+            else:
+                raise GraphFileError(f"unknown directive {fields[0]!r}", lineno)
+            lines.append(lineno)
+    except GraphFileError as exc:
+        fault = exc
     if n is None:
-        raise GraphFileError("missing 'n' header")
-    return build_graph(n, edges)
+        raise fault or GraphFileError("missing 'n' header")
+    at = iter(lines)  # one step per edge build_graph takes: next(at) is the line it checks
+    try:
+        g = build_graph(n, (edge for edge, _ in zip(edges, at)))
+    except GraphValidationError as exc:
+        raise GraphFileError(str(exc), next(at)) from exc
+    if fault:
+        raise fault
+    return g
 
 
 def format_graph_file(g: ProbGraph) -> str:

@@ -96,6 +96,7 @@ def _check_edge(
 def build_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> ProbGraph:
     """Validate and canonicalize a graph description.
 
+    `edges` may be any iterable; each edge is checked once, in order.
     Endpoint order within a pair does not matter; pairs are normalized to
     i < j and the edge list is sorted by (i, j).  Edges with probability 0
     are legal and retained: they are possible links that currently never

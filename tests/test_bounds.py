@@ -50,6 +50,16 @@ class TestComputeBounds:
         assert report.unconstrained_pairs == [(0, 1)]
         assert report.violations == []
 
+    def test_lower_bound_excludes_endpoints_when_every_route_is_negative(self):
+        # pair (0, 2) has one relay, vertex 1, whose route is negative: the endpoints
+        # are no routes, so the lower bound is that route, not 0
+        q = np.array([[1.0, -0.4, 0.3], [-0.4, 1.0, 0.5], [0.3, 0.5, 1.0]])
+        a = adjacency_matrix(PATH3)
+        report = compute_bounds(a, q)
+        lower, upper = relay_bounds(a, q)
+        assert report.lower[0, 2] == -0.2
+        assert np.array_equal(report.lower, lower) and np.array_equal(report.upper, upper)
+
     def test_bounds_bracket_exact_matrices(self):
         rng = np.random.default_rng(14)
         for _ in range(25):

@@ -23,6 +23,7 @@ from probconn import (
 )
 import probconn.cli as cli
 from probconn.cli import run_command
+from probconn import fileio as fileio_module
 from probconn import graph as graph_module
 from graphgen import random_clusters, random_graph
 
@@ -62,6 +63,40 @@ class TestParseGraphFile:
     def test_unknown_directive(self):
         with pytest.raises(GraphFileError, match="line 2: unknown"):
             parse_graph_file("n 2\nx 0 1")
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("n 0\ne 0 1", 1, "vertex count must be >= 1"),
+            ("n 3\ne 0 1 0.5\ne 1 0 0.7\nn 3", 3, "duplicate edge (0, 1)"),
+            ("n 2\ne 0 0 0.5\nx 0 1", 2, "self-loop at vertex 0"),
+            ("n 3\ne 0 1 0.5\ne 1 2\ne 2 2 0.5", 3, "edge line must be"),
+            ("n 3\ne 1 2 0.5\ne 0 9 0.5\n# note\ne 0 1 x", 3, "outside [0, 3)"),
+        ],
+        ids=["count-before-malformed-edge", "duplicate-edge-before-duplicate-header",
+             "invalid-edge-before-unknown-directive", "malformed-edge-before-invalid-edge",
+             "invalid-edge-before-bad-probability"],
+    )
+    def test_first_error_in_file_order_is_reported(self, text, line, message):
+        with pytest.raises(GraphFileError) as exc:
+            parse_graph_file(text)
+        assert exc.value.line == line
+        assert str(exc.value).startswith(f"line {line}: ") and message in str(exc.value)
+
+    def test_each_edge_is_checked_once_in_file_order(self, monkeypatch):
+        checked = []
+        check = graph_module._check_edge
+
+        def spy(n, i, j, p, seen):
+            checked.append((i, j))
+            return check(n, i, j, p, seen)
+
+        monkeypatch.setattr(graph_module, "_check_edge", spy)
+        # a parser holding its own import of the check is counted too
+        monkeypatch.setattr(fileio_module, "_check_edge", spy, raising=False)
+        g = parse_graph_file("n 4\ne 2 3 0.5\ne 1 0 0.6\n# c\ne 0 2 0.7\n")
+        assert checked == [(2, 3), (1, 0), (0, 2)]
+        assert g.edges == ((0, 1, 0.6), (0, 2, 0.7), (2, 3, 0.5))
 
     @pytest.mark.parametrize(
         "text, line",

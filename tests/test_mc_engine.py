@@ -82,18 +82,20 @@ class TestMcConnectivity:
         runs = [(TRIANGLE, 30_000, 9)] + [
             (build_graph(c["n"], c["edges"]), c["samples"], c["seed"]) for c in PINNED["cases"]
         ]
-        # the slice also sets the draw sub-slices: one sample each up to 7-sample chunks
+        # the slice also sets the draw sub-slices: one sample each up to 7-sample chunks;
+        # those run over the first 300 samples, still 300 and 43 chunks
         default, kernel_calls = graph_module._SLICE_BYTES, _spy(monkeypatch, "_state_pair_sums")
         for g, samples, seed in runs:
-            monkeypatch.setattr(graph_module, "_SLICE_BYTES", default)
-            base = mc_connectivity(g, samples, seed)
-            for chunk in (1, 7, 333, 999, 1 << 20):
-                monkeypatch.setattr(graph_module, "_SLICE_BYTES", _budget_for(chunk, g.m))
-                kernel_calls.clear()
-                est = mc_connectivity(g, samples, seed)
-                assert np.array_equal(est.q_hat, base.q_hat), (g.m, chunk)
-                # one kernel call a chunk: a chunk of 1 sample is one call per sample
-                assert len(kernel_calls) == -(-samples // chunk), (g.m, chunk)
+            for chunks, count in (((1, 7), 300), ((333, 999, 1 << 20), samples)):
+                monkeypatch.setattr(graph_module, "_SLICE_BYTES", default)
+                base = mc_connectivity(g, count, seed)
+                for chunk in chunks:
+                    monkeypatch.setattr(graph_module, "_SLICE_BYTES", _budget_for(chunk, g.m))
+                    kernel_calls.clear()
+                    est = mc_connectivity(g, count, seed)
+                    assert np.array_equal(est.q_hat, base.q_hat), (g.m, chunk)
+                    # one kernel call a chunk: a chunk of 1 sample is one call per sample
+                    assert len(kernel_calls) == -(-count // chunk), (g.m, chunk)
 
     def test_default_budget_draws_65536_narrow_samples_per_chunk(self, monkeypatch):
         draws = _spy(monkeypatch, "_edge_states")
